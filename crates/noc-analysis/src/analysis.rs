@@ -1,4 +1,4 @@
-//! The [`Analysis`] trait and the five concrete analyses.
+//! The five analyses, as the variants of one [`AnalysisKind`] handle.
 //!
 //! | Analysis | Paper | Downstream MPB charge | Safe under MPB? |
 //! |---|---|---|---|
@@ -7,6 +7,10 @@
 //! | [`XiongOriginal`] | Eq. 4, \[12\] | Eq. 3, with `Iup` as window jitter | no (shown optimistic by \[6\]) |
 //! | [`Xlwx`] | Eq. 5, \[13\] | Eq. 3 | yes |
 //! | [`BufferAware`] | **IBN**, Eq. 5 + 6–8 (this paper) | `min(bi, Eq. 3)` | yes |
+//!
+//! All five are one Equation 5 recurrence with a different downstream
+//! charge and jitter rule, so each variant is just a solver configuration.
+//! The variants are re-exported as values (`BufferAware.analyze(&system)`).
 
 use noc_model::system::System;
 
@@ -16,43 +20,143 @@ use crate::engine::{DownstreamModel, JitterModel, Solver};
 use crate::error::AnalysisError;
 use crate::report::{AnalysisReport, FlowExplanation};
 
+pub use AnalysisKind::{BufferAware, NoIndirect, ShiBurns, XiongOriginal, Xlwx};
+
 /// A worst-case response-time analysis: maps a [`System`] to per-flow
 /// latency bounds and a schedulability verdict.
 ///
-/// Object-safe ([C-OBJECT]) so experiment harnesses can iterate over
-/// `&dyn Analysis` collections.
+/// A plain `Copy` value, so it keys per-analysis tables (the solve caches
+/// of [`IncrementalContext`](crate::incremental::IncrementalContext)) and
+/// ships across threads in a query batch.
 ///
-/// The primitive operations are [`Analysis::analyze_with`] and
-/// [`Analysis::explain_with`], which borrow a shared [`AnalysisContext`];
-/// the [`Analysis::analyze`]/[`Analysis::explain`] conveniences build a
-/// fresh context per call. Harnesses that run several analyses (or several
-/// buffer depths) over one flow set should build the context once and use
-/// the `_with` forms — see [`crate::context`] for the full pattern.
-pub trait Analysis {
+/// The primitive operations are [`AnalysisKind::analyze_with`] and
+/// [`AnalysisKind::explain_with`], which borrow a shared
+/// [`AnalysisContext`]; the [`AnalysisKind::analyze`]/
+/// [`AnalysisKind::explain`] conveniences build a fresh context per call.
+/// Harnesses that run several analyses (or several buffer depths) over one
+/// flow set should build the context once and use the `_with` forms — see
+/// [`crate::context`] for the full pattern.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum AnalysisKind {
+    /// Direct interference only, no interference jitter: the naive bound
+    /// that predates SB. Unsafe; kept as a teaching/ablation baseline
+    /// showing why indirect interference matters.
+    NoIndirect,
+    /// The Shi & Burns analysis (SB, \[11\]): direct interference plus the
+    /// interference jitter `J^I_j = Rⱼ − Cⱼ` for direct interferers that
+    /// suffer indirect interference. Optimistic under multi-point
+    /// progressive blocking (§III of the paper).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// # use noc_model::prelude::*;
+    /// # use noc_analysis::prelude::*;
+    /// # fn system() -> System {
+    /// #     let t = Topology::mesh(2, 1);
+    /// #     let f = FlowSet::new(vec![Flow::builder(NodeId::new(0), NodeId::new(1))
+    /// #         .priority(Priority::new(1)).period(Cycles::new(100)).build()]).unwrap();
+    /// #     System::new(t, NocConfig::default(), f, &XyRouting).unwrap()
+    /// # }
+    /// let report = ShiBurns.analyze(&system())?;
+    /// assert!(report.is_schedulable());
+    /// # Ok::<(), noc_analysis::error::AnalysisError>(())
+    /// ```
+    ShiBurns,
+    /// The original Xiong et al. analysis (Equation 4, GLSVLSI 2016
+    /// \[12\]): downstream indirect interference charged as direct
+    /// interference and the upstream term `Iup(j,i)` used as window jitter.
+    /// Shown optimistic by the counter-example of \[6\]; kept for ablation
+    /// studies.
+    XiongOriginal,
+    /// The corrected Xiong/Lu/Wu/Xie analysis (XLWX, Equation 5 with the fix
+    /// of \[6\], published in \[13\]): the state of the art the paper
+    /// improves on. Safe under MPB but pessimistic — downstream indirect
+    /// interference is charged in full as direct interference.
+    Xlwx,
+    /// **IBN** — the paper's buffer-aware analysis (§IV): downstream
+    /// indirect interference per hit is capped by the buffered interference
+    /// `bi(i,j) = buf(Ξ)·linkl(Ξ)·|cd(i,j)|` (Equation 6) whenever the
+    /// direct interferer suffers no upstream indirect interference
+    /// (Equation 8), falling back to the XLWX charge otherwise. Reads
+    /// `buf(Ξ)` from [`System::config`]; analyse
+    /// `system.with_buffer_depth(b)` to study other buffer sizes.
+    ///
+    /// Never less tight than [`Xlwx`], and safe under MPB.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// # use noc_model::prelude::*;
+    /// # use noc_analysis::prelude::*;
+    /// # fn system() -> System {
+    /// #     let t = Topology::mesh(2, 1);
+    /// #     let f = FlowSet::new(vec![Flow::builder(NodeId::new(0), NodeId::new(1))
+    /// #         .priority(Priority::new(1)).period(Cycles::new(100)).build()]).unwrap();
+    /// #     System::new(t, NocConfig::default(), f, &XyRouting).unwrap()
+    /// # }
+    /// let sys = system();
+    /// let small = BufferAware.analyze(&sys)?;
+    /// let large = BufferAware.analyze(&sys.with_buffer_depth(100))?;
+    /// // Buffer size can only increase IBN's bounds:
+    /// for (id, v) in small.iter() {
+    ///     assert!(v.response_time() <= large.verdict(id).response_time());
+    /// }
+    /// # Ok::<(), noc_analysis::error::AnalysisError>(())
+    /// ```
+    BufferAware,
+}
+
+impl AnalysisKind {
+    /// Every kind, in increasing order of modelled interference detail.
+    /// Convenient for sweeping experiments.
+    pub const ALL: [AnalysisKind; 5] = [NoIndirect, ShiBurns, XiongOriginal, Xlwx, BufferAware];
+
     /// Short, stable display name (`"SB"`, `"XLWX"`, `"IBN"`, …).
-    fn name(&self) -> &'static str;
+    pub fn name(self) -> &'static str {
+        match self {
+            NoIndirect => "NoIndirect",
+            ShiBurns => "SB",
+            XiongOriginal => "Xiong16",
+            Xlwx => "XLWX",
+            BufferAware => "IBN",
+        }
+    }
+
+    /// Returns `self`. Kept for source compatibility with callers written
+    /// against the former trait-object form of the analyses; every entry
+    /// point now lives on [`AnalysisKind`] itself.
+    pub fn as_analysis(self) -> AnalysisKind {
+        self
+    }
 
     /// Runs the analysis over every flow of the context's system, reusing
     /// the context's precomputed interference structure.
     ///
     /// # Errors
     ///
-    /// The concrete analyses of this crate fail here only with
-    /// [`AnalysisError::ConvergenceCap`], on pathological inputs whose
-    /// fixed-point iteration exhausts the solver's safety cap (the fallible
-    /// structure derivation already happened in [`AnalysisContext::new`]).
-    fn analyze_with(&self, ctx: &AnalysisContext<'_>) -> Result<AnalysisReport, AnalysisError>;
+    /// Fails only with [`AnalysisError::ConvergenceCap`], on pathological
+    /// inputs whose fixed-point iteration exhausts the solver's safety cap
+    /// (the fallible structure derivation already happened in
+    /// [`AnalysisContext::new`]).
+    pub fn analyze_with(self, ctx: &AnalysisContext<'_>) -> Result<AnalysisReport, AnalysisError> {
+        Solver::new(ctx, self).solve()
+    }
 
-    /// [`Analysis::explain`] against a shared context: per-flow interference
-    /// breakdowns at the fixed point.
+    /// [`AnalysisKind::explain`] against a shared context: per-flow
+    /// interference breakdowns at the fixed point.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Analysis::analyze_with`].
-    fn explain_with(
-        &self,
+    /// Same conditions as [`AnalysisKind::analyze_with`].
+    pub fn explain_with(
+        self,
         ctx: &AnalysisContext<'_>,
-    ) -> Result<Vec<FlowExplanation>, AnalysisError>;
+    ) -> Result<Vec<FlowExplanation>, AnalysisError> {
+        Solver::new(ctx, self)
+            .solve_explained()
+            .map(|(_, explanations)| explanations)
+    }
 
     /// Runs the analysis over every flow of `system`, deriving the
     /// interference structure from scratch.
@@ -61,7 +165,7 @@ pub trait Analysis {
     ///
     /// Returns [`AnalysisError::Model`] if the system violates a model
     /// assumption (e.g. non-contiguous contention domains).
-    fn analyze(&self, system: &System) -> Result<AnalysisReport, AnalysisError> {
+    pub fn analyze(self, system: &System) -> Result<AnalysisReport, AnalysisError> {
         self.analyze_with(&AnalysisContext::new(system)?)
     }
 
@@ -72,301 +176,41 @@ pub trait Analysis {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Analysis::analyze`].
-    fn explain(&self, system: &System) -> Result<Vec<FlowExplanation>, AnalysisError> {
+    /// Same conditions as [`AnalysisKind::analyze`].
+    pub fn explain(self, system: &System) -> Result<Vec<FlowExplanation>, AnalysisError> {
         self.explain_with(&AnalysisContext::new(system)?)
     }
-}
 
-/// Direct interference only, no interference jitter: the naive bound that
-/// predates SB. Unsafe; kept as a teaching/ablation baseline showing why
-/// indirect interference matters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoIndirect;
-
-impl Analysis for NoIndirect {
-    fn name(&self) -> &'static str {
-        "NoIndirect"
-    }
-
-    fn analyze_with(&self, ctx: &AnalysisContext<'_>) -> Result<AnalysisReport, AnalysisError> {
-        Solver::new(ctx, DownstreamModel::Ignore, JitterModel::None).solve(self.name())
-    }
-
-    fn explain_with(
-        &self,
-        ctx: &AnalysisContext<'_>,
-    ) -> Result<Vec<FlowExplanation>, AnalysisError> {
-        Solver::new(ctx, DownstreamModel::Ignore, JitterModel::None)
-            .solve_explained(self.name())
-            .map(|(_, explanations)| explanations)
-    }
-}
-
-/// The Shi & Burns analysis (SB, \[11\]): direct interference plus the
-/// interference jitter `J^I_j = Rⱼ − Cⱼ` for direct interferers that suffer
-/// indirect interference. Optimistic under multi-point progressive blocking
-/// (§III of the paper).
-///
-/// # Examples
-///
-/// ```
-/// # use noc_model::prelude::*;
-/// # use noc_analysis::prelude::*;
-/// # fn system() -> System {
-/// #     let t = Topology::mesh(2, 1);
-/// #     let f = FlowSet::new(vec![Flow::builder(NodeId::new(0), NodeId::new(1))
-/// #         .priority(Priority::new(1)).period(Cycles::new(100)).build()]).unwrap();
-/// #     System::new(t, NocConfig::default(), f, &XyRouting).unwrap()
-/// # }
-/// let report = ShiBurns.analyze(&system())?;
-/// assert!(report.is_schedulable());
-/// # Ok::<(), noc_analysis::error::AnalysisError>(())
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShiBurns;
-
-impl Analysis for ShiBurns {
-    fn name(&self) -> &'static str {
-        "SB"
-    }
-
-    fn analyze_with(&self, ctx: &AnalysisContext<'_>) -> Result<AnalysisReport, AnalysisError> {
-        Solver::new(
-            ctx,
-            DownstreamModel::Ignore,
-            JitterModel::InterferenceJitter,
-        )
-        .solve(self.name())
-    }
-
-    fn explain_with(
-        &self,
-        ctx: &AnalysisContext<'_>,
-    ) -> Result<Vec<FlowExplanation>, AnalysisError> {
-        Solver::new(
-            ctx,
-            DownstreamModel::Ignore,
-            JitterModel::InterferenceJitter,
-        )
-        .solve_explained(self.name())
-        .map(|(_, explanations)| explanations)
-    }
-}
-
-/// The original Xiong et al. analysis (Equation 4, GLSVLSI 2016 \[12\]):
-/// downstream indirect interference charged as direct interference and the
-/// upstream term `Iup(j,i)` used as window jitter. Shown optimistic by the
-/// counter-example of \[6\]; kept for ablation studies.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct XiongOriginal;
-
-impl Analysis for XiongOriginal {
-    fn name(&self) -> &'static str {
-        "Xiong16"
-    }
-
-    fn analyze_with(&self, ctx: &AnalysisContext<'_>) -> Result<AnalysisReport, AnalysisError> {
-        Solver::new(
-            ctx,
-            DownstreamModel::Xlwx,
-            JitterModel::UpstreamInterference,
-        )
-        .solve(self.name())
-    }
-
-    fn explain_with(
-        &self,
-        ctx: &AnalysisContext<'_>,
-    ) -> Result<Vec<FlowExplanation>, AnalysisError> {
-        Solver::new(
-            ctx,
-            DownstreamModel::Xlwx,
-            JitterModel::UpstreamInterference,
-        )
-        .solve_explained(self.name())
-        .map(|(_, explanations)| explanations)
-    }
-}
-
-/// The corrected Xiong/Lu/Wu/Xie analysis (XLWX, Equation 5 with the fix of
-/// \[6\], published in \[13\]): the state of the art the paper improves on.
-/// Safe under MPB but pessimistic — downstream indirect interference is
-/// charged in full as direct interference.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Xlwx;
-
-impl Analysis for Xlwx {
-    fn name(&self) -> &'static str {
-        "XLWX"
-    }
-
-    fn analyze_with(&self, ctx: &AnalysisContext<'_>) -> Result<AnalysisReport, AnalysisError> {
-        Solver::new(ctx, DownstreamModel::Xlwx, JitterModel::InterferenceJitter).solve(self.name())
-    }
-
-    fn explain_with(
-        &self,
-        ctx: &AnalysisContext<'_>,
-    ) -> Result<Vec<FlowExplanation>, AnalysisError> {
-        Solver::new(ctx, DownstreamModel::Xlwx, JitterModel::InterferenceJitter)
-            .solve_explained(self.name())
-            .map(|(_, explanations)| explanations)
-    }
-}
-
-/// **IBN** — the paper's buffer-aware analysis (§IV): downstream indirect
-/// interference per hit is capped by the buffered interference
-/// `bi(i,j) = buf(Ξ)·linkl(Ξ)·|cd(i,j)|` (Equation 6) whenever the direct
-/// interferer suffers no upstream indirect interference (Equation 8),
-/// falling back to the XLWX charge otherwise. Reads `buf(Ξ)` from
-/// [`System::config`]; analyse `system.with_buffer_depth(b)` to study other
-/// buffer sizes.
-///
-/// Never less tight than [`Xlwx`], and safe under MPB.
-///
-/// # Examples
-///
-/// ```
-/// # use noc_model::prelude::*;
-/// # use noc_analysis::prelude::*;
-/// # fn system() -> System {
-/// #     let t = Topology::mesh(2, 1);
-/// #     let f = FlowSet::new(vec![Flow::builder(NodeId::new(0), NodeId::new(1))
-/// #         .priority(Priority::new(1)).period(Cycles::new(100)).build()]).unwrap();
-/// #     System::new(t, NocConfig::default(), f, &XyRouting).unwrap()
-/// # }
-/// let sys = system();
-/// let small = BufferAware.analyze(&sys)?;
-/// let large = BufferAware.analyze(&sys.with_buffer_depth(100))?;
-/// // Buffer size can only increase IBN's bounds:
-/// for (id, v) in small.iter() {
-///     assert!(v.response_time() <= large.verdict(id).response_time());
-/// }
-/// # Ok::<(), noc_analysis::error::AnalysisError>(())
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BufferAware;
-
-impl Analysis for BufferAware {
-    fn name(&self) -> &'static str {
-        "IBN"
-    }
-
-    fn analyze_with(&self, ctx: &AnalysisContext<'_>) -> Result<AnalysisReport, AnalysisError> {
-        Solver::new(
-            ctx,
-            DownstreamModel::BufferAware,
-            JitterModel::InterferenceJitter,
-        )
-        .solve(self.name())
-    }
-
-    fn explain_with(
-        &self,
-        ctx: &AnalysisContext<'_>,
-    ) -> Result<Vec<FlowExplanation>, AnalysisError> {
-        Solver::new(
-            ctx,
-            DownstreamModel::BufferAware,
-            JitterModel::InterferenceJitter,
-        )
-        .solve_explained(self.name())
-        .map(|(_, explanations)| explanations)
-    }
-}
-
-/// The five analyses as a plain value — the form used where a `&dyn
-/// Analysis` is inconvenient, such as keying the per-analysis solve caches
-/// of [`IncrementalContext`](crate::incremental::IncrementalContext) or
-/// shipping a choice of analysis across threads in a query batch.
-///
-/// `kind.name()` matches the corresponding [`Analysis::name`] exactly, and
-/// analysing through a kind yields bit-identical reports to the trait path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AnalysisKind {
-    /// [`NoIndirect`]: direct interference only, no jitter.
-    NoIndirect,
-    /// [`ShiBurns`] (SB): direct interference + interference jitter.
-    ShiBurns,
-    /// [`XiongOriginal`] (Eq. 4): MPB with `Iup` as window jitter.
-    XiongOriginal,
-    /// [`Xlwx`] (Eq. 5): downstream MPB charged as direct interference.
-    Xlwx,
-    /// [`BufferAware`] (**IBN**): MPB capped by the buffered interference.
-    BufferAware,
-}
-
-impl AnalysisKind {
-    /// Every kind, in increasing order of modelled interference detail
-    /// (the same order as [`all_analyses`]).
-    pub const ALL: [AnalysisKind; 5] = [
-        AnalysisKind::NoIndirect,
-        AnalysisKind::ShiBurns,
-        AnalysisKind::XiongOriginal,
-        AnalysisKind::Xlwx,
-        AnalysisKind::BufferAware,
-    ];
-
-    /// The display name, identical to the [`Analysis::name`] of the
-    /// corresponding unit struct.
-    pub fn name(self) -> &'static str {
-        match self {
-            AnalysisKind::NoIndirect => NoIndirect.name(),
-            AnalysisKind::ShiBurns => ShiBurns.name(),
-            AnalysisKind::XiongOriginal => XiongOriginal.name(),
-            AnalysisKind::Xlwx => Xlwx.name(),
-            AnalysisKind::BufferAware => BufferAware.name(),
-        }
-    }
-
-    /// The corresponding analysis as a trait object, for callers that hold
-    /// a kind but want the [`Analysis`] entry points.
-    pub fn as_analysis(self) -> &'static (dyn Analysis + Send + Sync) {
-        match self {
-            AnalysisKind::NoIndirect => &NoIndirect,
-            AnalysisKind::ShiBurns => &ShiBurns,
-            AnalysisKind::XiongOriginal => &XiongOriginal,
-            AnalysisKind::Xlwx => &Xlwx,
-            AnalysisKind::BufferAware => &BufferAware,
-        }
-    }
-
-    /// [`Analysis::analyze_with`] under a cooperative [`Budget`]: the solver
-    /// polls the budget (once per flow plus every
+    /// [`AnalysisKind::analyze_with`] under a cooperative [`Budget`]: the
+    /// solver polls the budget (once per flow plus every
     /// [`Budget::POLL_ITERATIONS`] fixed-point iterations) and aborts with
     /// [`AnalysisError::DeadlineExceeded`] once it is exceeded.
     ///
     /// With an [`unlimited`](Budget::unlimited) budget this is bit-identical
-    /// to [`Analysis::analyze_with`] — the polls read a flag nobody sets.
-    /// Serving layers pair this with the conservative fallback of
+    /// to [`AnalysisKind::analyze_with`] — the polls read a flag nobody
+    /// sets. Serving layers pair this with the conservative fallback of
     /// [`crate::conservative`] to keep answering under deadline pressure.
     ///
     /// # Errors
     ///
     /// [`AnalysisError::DeadlineExceeded`] when the budget expires
-    /// mid-solve, plus the conditions of [`Analysis::analyze_with`].
+    /// mid-solve, plus the conditions of [`AnalysisKind::analyze_with`].
     pub fn analyze_with_budget(
         self,
         ctx: &AnalysisContext<'_>,
         budget: &Budget,
     ) -> Result<AnalysisReport, AnalysisError> {
-        let (downstream, jitter) = self.models();
-        Solver::new(ctx, downstream, jitter)
-            .with_budget(budget)
-            .solve(self.name())
+        Solver::new(ctx, self).with_budget(budget).solve()
     }
 
     /// The solver configuration of this analysis.
     pub(crate) fn models(self) -> (DownstreamModel, JitterModel) {
         match self {
-            AnalysisKind::NoIndirect => (DownstreamModel::Ignore, JitterModel::None),
-            AnalysisKind::ShiBurns => (DownstreamModel::Ignore, JitterModel::InterferenceJitter),
-            AnalysisKind::XiongOriginal => {
-                (DownstreamModel::Xlwx, JitterModel::UpstreamInterference)
-            }
-            AnalysisKind::Xlwx => (DownstreamModel::Xlwx, JitterModel::InterferenceJitter),
-            AnalysisKind::BufferAware => (
+            NoIndirect => (DownstreamModel::Ignore, JitterModel::None),
+            ShiBurns => (DownstreamModel::Ignore, JitterModel::InterferenceJitter),
+            XiongOriginal => (DownstreamModel::Xlwx, JitterModel::UpstreamInterference),
+            Xlwx => (DownstreamModel::Xlwx, JitterModel::InterferenceJitter),
+            BufferAware => (
                 DownstreamModel::BufferAware,
                 JitterModel::InterferenceJitter,
             ),
@@ -377,18 +221,6 @@ impl AnalysisKind {
     pub(crate) fn index(self) -> usize {
         self as usize
     }
-}
-
-/// All analyses of this crate as trait objects, in increasing order of
-/// modelled interference detail. Convenient for sweeping experiments.
-pub fn all_analyses() -> Vec<Box<dyn Analysis + Send + Sync>> {
-    vec![
-        Box::new(NoIndirect),
-        Box::new(ShiBurns),
-        Box::new(XiongOriginal),
-        Box::new(Xlwx),
-        Box::new(BufferAware),
-    ]
 }
 
 #[cfg(test)]
@@ -426,7 +258,7 @@ mod tests {
     #[test]
     fn highest_priority_flow_has_zero_interference() {
         let sys = tiny_system();
-        for analysis in all_analyses() {
+        for analysis in AnalysisKind::ALL {
             let report = analysis.analyze(&sys).unwrap();
             assert_eq!(
                 report.response_time(FlowId::new(0)),
@@ -457,16 +289,6 @@ mod tests {
         for id in sys.flows().ids() {
             assert_eq!(sb.response_time(id), xlwx.response_time(id));
             assert_eq!(ibn.response_time(id), xlwx.response_time(id));
-        }
-    }
-
-    #[test]
-    fn analyses_usable_as_trait_objects() {
-        let sys = tiny_system();
-        let list = all_analyses();
-        assert_eq!(list.len(), 5);
-        for analysis in &list {
-            assert!(analysis.analyze(&sys).unwrap().is_schedulable());
         }
     }
 

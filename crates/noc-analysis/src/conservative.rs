@@ -73,28 +73,12 @@ pub const CONSERVATIVE_NAME: &str = "Conservative";
 /// Single-pass and total: no fixed-point iteration, no failure mode. See
 /// the [module docs](self) for the bound and its soundness argument.
 pub fn conservative_with(ctx: &AnalysisContext<'_>) -> AnalysisReport {
-    conservative_from_parts(
-        ctx.system(),
-        ctx.graph(),
-        ctx.priority_order(),
-        ctx.zero_load_raw(),
-    )
-}
-
-/// [`conservative_with`] from raw derived structure — the entry point for
-/// owners that are not an [`AnalysisContext`], such as the incremental
-/// context.
-pub(crate) fn conservative_from_parts(
-    system: &System,
-    graph: &InterferenceGraph,
-    order: &[FlowId],
-    zero_load: &[u128],
-) -> AnalysisReport {
+    let (system, graph, order) = (ctx.system(), ctx.graph(), ctx.priority_order());
     metrics::CONSERVATIVE_SOLVES.incr();
     let mut bounder = Bounder {
         system,
         graph,
-        c: zero_load,
+        c: ctx.zero_load_raw(),
         idown_memo: HashMap::new(),
     };
     let mut verdicts = vec![FlowVerdict::NotConverged; order.len()];
@@ -182,7 +166,7 @@ fn clamp_cycles(v: u128) -> Cycles {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::{all_analyses, AnalysisKind};
+    use crate::analysis::AnalysisKind;
     use noc_model::prelude::*;
 
     fn mesh_flow((src, dst, p, t): (u32, u32, u32, u64)) -> Flow {
@@ -220,7 +204,7 @@ mod tests {
         let ctx = AnalysisContext::new(&sys).unwrap();
         let conservative = conservative_with(&ctx);
         assert_eq!(conservative.analysis(), CONSERVATIVE_NAME);
-        for analysis in all_analyses() {
+        for analysis in AnalysisKind::ALL {
             let exact = analysis.analyze_with(&ctx).unwrap();
             for (id, verdict) in exact.iter() {
                 if let Some(r) = verdict.response_time() {
@@ -262,10 +246,7 @@ mod tests {
         .unwrap();
         let sys = System::new(topology, NocConfig::default(), flows, &XyRouting).unwrap();
         let ctx = AnalysisContext::new(&sys).unwrap();
-        let exact = AnalysisKind::ShiBurns
-            .as_analysis()
-            .analyze_with(&ctx)
-            .unwrap();
+        let exact = AnalysisKind::ShiBurns.analyze_with(&ctx).unwrap();
         assert!(!exact.is_schedulable());
         let conservative = conservative_with(&ctx);
         assert!(!conservative.is_schedulable());
@@ -295,7 +276,7 @@ mod tests {
         .unwrap();
         let sys = System::new(topology, NocConfig::default(), flows, &XyRouting).unwrap();
         let ctx = AnalysisContext::new(&sys).unwrap();
-        assert!(AnalysisKind::Xlwx.as_analysis().analyze_with(&ctx).is_err());
+        assert!(AnalysisKind::Xlwx.analyze_with(&ctx).is_err());
         let conservative = conservative_with(&ctx);
         assert_eq!(conservative.len(), 2);
         // The saturating flow makes the victim's conservative bound huge.

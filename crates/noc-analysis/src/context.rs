@@ -10,12 +10,17 @@
 //! (and several buffer depths) over the *same* flow set.
 //!
 //! [`AnalysisContext`] computes everything once and lets every analysis
-//! borrow it via [`Analysis::analyze_with`]. Derived systems that keep the
-//! interference structure intact — different buffer depths
+//! borrow it via [`AnalysisKind::analyze_with`]. Derived systems that keep
+//! the interference structure intact — different buffer depths
 //! ([`System::with_buffer_depth`]), scaled periods
 //! ([`System::with_scaled_periods`]) — can share the graph through
 //! [`AnalysisContext::rebase`], which revalidates cheaply and clones only an
 //! [`Arc`] handle.
+//!
+//! The context borrows its system or owns it (a [`Cow`]). The owned form is
+//! the core of [`IncrementalContext`], which forks one off a borrowed base
+//! by cloning the system and *sharing* the graph: the graph is copied only
+//! when the fork's first flow delta needs to mutate it.
 //!
 //! ```
 //! use noc_model::prelude::*;
@@ -37,12 +42,16 @@
 //! # Ok::<(), noc_analysis::error::AnalysisError>(())
 //! ```
 //!
-//! [`Analysis::analyze_with`]: crate::analysis::Analysis::analyze_with
+//! [`AnalysisKind::analyze_with`]: crate::analysis::AnalysisKind::analyze_with
+//! [`IncrementalContext`]: crate::incremental::IncrementalContext
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use noc_model::contention::InterferenceGraph;
-use noc_model::ids::FlowId;
+use noc_model::flow::Flow;
+use noc_model::ids::{FlowId, RouterId};
+use noc_model::routing::RoutingAlgorithm;
 use noc_model::system::System;
 use noc_model::time::Cycles;
 
@@ -52,14 +61,14 @@ use crate::error::AnalysisError;
 /// interference graph, the priority order and the zero-load latencies.
 ///
 /// Cheap to hand out by reference; every analysis in this crate accepts one
-/// through [`Analysis::analyze_with`](crate::analysis::Analysis::analyze_with).
-/// The plain [`Analysis::analyze`](crate::analysis::Analysis::analyze)
+/// through [`AnalysisKind::analyze_with`](crate::analysis::AnalysisKind::analyze_with).
+/// The plain [`AnalysisKind::analyze`](crate::analysis::AnalysisKind::analyze)
 /// convenience builds a fresh context internally, so the two paths are
 /// equivalent by construction (asserted bit-for-bit by the
 /// `context_equivalence` integration test).
 #[derive(Debug, Clone)]
 pub struct AnalysisContext<'sys> {
-    system: &'sys System,
+    system: Cow<'sys, System>,
     graph: Arc<InterferenceGraph>,
     priority_order: Vec<FlowId>,
     zero_load: Vec<u128>,
@@ -74,16 +83,21 @@ impl<'sys> AnalysisContext<'sys> {
     /// Returns [`AnalysisError::Model`] if the system violates the
     /// contiguous contention-domain assumption (§II of the paper).
     pub fn new(system: &'sys System) -> Result<AnalysisContext<'sys>, AnalysisError> {
-        let graph = Arc::new(InterferenceGraph::new(system)?);
+        Self::build(Cow::Borrowed(system))
+    }
+
+    /// [`AnalysisContext::new`] over a borrowed or owned system.
+    pub(crate) fn build(system: Cow<'sys, System>) -> Result<AnalysisContext<'sys>, AnalysisError> {
+        let graph = Arc::new(InterferenceGraph::new(&system)?);
         Ok(Self::assemble(system, graph))
     }
 
-    fn assemble(system: &'sys System, graph: Arc<InterferenceGraph>) -> AnalysisContext<'sys> {
+    fn assemble(system: Cow<'sys, System>, graph: Arc<InterferenceGraph>) -> AnalysisContext<'sys> {
         let priority_order = system.flows().ids_by_priority();
         let zero_load = system
             .flows()
             .ids()
-            .map(|id| u128::from(system.zero_load_latency(id).as_u64()))
+            .map(|id| zero_load_of(&system, id))
             .collect();
         AnalysisContext {
             system,
@@ -103,7 +117,8 @@ impl<'sys> AnalysisContext<'sys> {
     ///
     /// Typical sources of compatible systems are
     /// [`System::with_buffer_depth`], [`System::with_router_buffer_depth`]
-    /// and [`System::with_scaled_periods`].
+    /// and [`System::with_scaled_periods`]; for those, a mismatch is a bug
+    /// and callers may `.expect(..)` the result.
     ///
     /// # Errors
     ///
@@ -111,7 +126,7 @@ impl<'sys> AnalysisContext<'sys> {
     /// the original system in flow count, any priority, or any route —
     /// reusing the graph would then be unsound.
     pub fn rebase<'b>(&self, target: &'b System) -> Result<AnalysisContext<'b>, AnalysisError> {
-        let source = self.system;
+        let source = self.system();
         if target.flows().len() != source.flows().len() {
             return Err(AnalysisError::ContextMismatch {
                 detail: format!(
@@ -133,34 +148,68 @@ impl<'sys> AnalysisContext<'sys> {
                 });
             }
         }
-        Ok(AnalysisContext::assemble(target, Arc::clone(&self.graph)))
+        Ok(AnalysisContext::assemble(
+            Cow::Borrowed(target),
+            Arc::clone(&self.graph),
+        ))
     }
 
-    /// [`AnalysisContext::rebase`] for targets known to preserve the
-    /// interference structure by construction — systems derived via
-    /// [`System::with_buffer_depth`], [`System::with_router_buffer_depth`]
-    /// or [`System::with_scaled_periods`]. The experiment harnesses use
-    /// this form.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` does *not* preserve the structure (different flow
-    /// count, priorities or routes), naming the violated invariant — use
-    /// [`AnalysisContext::rebase`] when that is a recoverable condition.
-    #[must_use]
-    #[track_caller]
-    pub fn rebased<'b>(&self, target: &'b System) -> AnalysisContext<'b> {
-        match self.rebase(target) {
-            Ok(ctx) => ctx,
-            Err(mismatch) => {
-                panic!("rebase target does not preserve the interference structure: {mismatch}")
-            }
+    /// This context with an owned system: clones a borrowed system, shares
+    /// the graph.
+    pub(crate) fn into_owned(self) -> AnalysisContext<'static> {
+        AnalysisContext {
+            system: Cow::Owned(self.system.into_owned()),
+            graph: self.graph,
+            priority_order: self.priority_order,
+            zero_load: self.zero_load,
         }
     }
 
+    /// Admits `flow`, routed by `routing`, updating the graph in place (a
+    /// shared graph is copied first). Returns the new dense id and the flows
+    /// whose interference sets changed; the context is unchanged on error.
+    pub(crate) fn add_flow(
+        &mut self,
+        flow: Flow,
+        routing: &dyn RoutingAlgorithm,
+    ) -> Result<(FlowId, Vec<FlowId>), AnalysisError> {
+        let (system, id) = self.system.with_added_flow(flow, routing)?;
+        let affected = Arc::make_mut(&mut self.graph).add_flow(&system, id)?;
+        self.zero_load.push(zero_load_of(&system, id));
+        self.set_flows(system);
+        Ok((id, affected))
+    }
+
+    /// Retires the flow `id`, renumbering every larger id one down. Returns
+    /// the flows whose interference sets changed; the context is unchanged
+    /// on error.
+    pub(crate) fn remove_flow(&mut self, id: FlowId) -> Result<Vec<FlowId>, AnalysisError> {
+        let system = self.system.without_flow(id)?;
+        let affected = Arc::make_mut(&mut self.graph).remove_flow(&system, id);
+        self.zero_load.remove(id.index());
+        self.set_flows(system);
+        Ok(affected)
+    }
+
+    fn set_flows(&mut self, system: System) {
+        self.priority_order = system.flows().ids_by_priority();
+        self.system = Cow::Owned(system);
+    }
+
+    /// Resizes the per-VC buffers of `router`. Buffer depths feed neither
+    /// the graph, the priority order nor the zero-load latencies, so only
+    /// the system changes.
+    ///
+    /// # Panics
+    ///
+    /// As [`System::with_router_buffer_depth`].
+    pub(crate) fn resize_buffer(&mut self, router: RouterId, depth: u32) {
+        self.system = Cow::Owned(self.system.with_router_buffer_depth(router, depth));
+    }
+
     /// The system this context was built for (or last rebased onto).
-    pub fn system(&self) -> &'sys System {
-        self.system
+    pub fn system(&self) -> &System {
+        &self.system
     }
 
     /// The precomputed interference graph (§III): direct/indirect sets,
@@ -199,6 +248,10 @@ impl<'sys> AnalysisContext<'sys> {
     pub fn is_empty(&self) -> bool {
         self.zero_load.is_empty()
     }
+}
+
+fn zero_load_of(system: &System, id: FlowId) -> u128 {
+    u128::from(system.zero_load_latency(id).as_u64())
 }
 
 #[cfg(test)]

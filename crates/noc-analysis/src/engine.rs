@@ -34,6 +34,7 @@ use noc_model::ids::FlowId;
 use noc_model::system::System;
 use noc_model::time::Cycles;
 
+use crate::analysis::AnalysisKind;
 use crate::budget::Budget;
 use crate::context::AnalysisContext;
 use crate::error::AnalysisError;
@@ -83,6 +84,8 @@ pub(crate) struct Solver<'a> {
     graph: &'a InterferenceGraph,
     /// Highest-priority-first solve order, borrowed from the context.
     order: &'a [FlowId],
+    /// The analysis' display name, carried by every report.
+    name: &'static str,
     downstream: DownstreamModel,
     jitter: JitterModel,
     /// Zero-load latencies Cᵢ, borrowed from the context.
@@ -99,40 +102,18 @@ pub(crate) struct Solver<'a> {
 }
 
 impl<'a> Solver<'a> {
-    pub(crate) fn new(
-        ctx: &'a AnalysisContext<'a>,
-        downstream: DownstreamModel,
-        jitter: JitterModel,
-    ) -> Self {
-        Self::from_parts(
-            ctx.system(),
-            ctx.graph(),
-            ctx.priority_order(),
-            ctx.zero_load_raw(),
-            downstream,
-            jitter,
-        )
-    }
-
-    /// Builds a solver from raw parts — the entry point for owners of the
-    /// derived structure that are not an [`AnalysisContext`], such as the
-    /// incremental context (which owns its graph by value).
-    pub(crate) fn from_parts(
-        system: &'a System,
-        graph: &'a InterferenceGraph,
-        order: &'a [FlowId],
-        zero_load: &'a [u128],
-        downstream: DownstreamModel,
-        jitter: JitterModel,
-    ) -> Self {
+    /// A solver for `kind` over the context's system and derived structure.
+    pub(crate) fn new(ctx: &'a AnalysisContext<'a>, kind: AnalysisKind) -> Self {
+        let (downstream, jitter) = kind.models();
         Solver {
-            system,
-            graph,
-            order,
+            system: ctx.system(),
+            graph: ctx.graph(),
+            order: ctx.priority_order(),
+            name: kind.name(),
             downstream,
             jitter,
-            c: zero_load,
-            r: vec![None; order.len()],
+            c: ctx.zero_load_raw(),
+            r: vec![None; ctx.len()],
             idown_memo: HashMap::new(),
             budget: None,
         }
@@ -151,8 +132,8 @@ impl<'a> Solver<'a> {
     ///
     /// Returns [`AnalysisError::ConvergenceCap`] if any flow's fixed-point
     /// iteration exhausts the safety cap.
-    pub(crate) fn solve(self, name: &'static str) -> Result<AnalysisReport, AnalysisError> {
-        Ok(self.solve_explained(name)?.0)
+    pub(crate) fn solve(self) -> Result<AnalysisReport, AnalysisError> {
+        Ok(self.solve_explained()?.0)
     }
 
     /// Runs the analysis and additionally returns the per-flow
@@ -163,7 +144,6 @@ impl<'a> Solver<'a> {
     /// Same conditions as [`Solver::solve`].
     pub(crate) fn solve_explained(
         mut self,
-        name: &'static str,
     ) -> Result<(AnalysisReport, Vec<FlowExplanation>), AnalysisError> {
         let _span = metrics::SOLVE_NS.span();
         let order = self.order;
@@ -187,7 +167,7 @@ impl<'a> Solver<'a> {
             .into_iter()
             .map(|e| e.expect("every flow solved"))
             .collect();
-        Ok((AnalysisReport::new(name, verdicts), explanations))
+        Ok((AnalysisReport::new(self.name, verdicts), explanations))
     }
 
     /// Runs the analysis against `cache`, re-solving only the flows whose
@@ -218,7 +198,6 @@ impl<'a> Solver<'a> {
     /// Panics if `cache` was sized for a different number of flows.
     pub(crate) fn solve_cached(
         mut self,
-        name: &'static str,
         cache: &mut SolveCache,
     ) -> Result<AnalysisReport, AnalysisError> {
         let _span = metrics::SOLVE_NS.span();
@@ -289,13 +268,13 @@ impl<'a> Solver<'a> {
             noc_telemetry::events::emit(
                 "analysis.solve_cached",
                 &[
-                    ("analysis", name.into()),
+                    ("analysis", self.name.into()),
                     ("dirty_solved", dirty_solved.into()),
                     ("clean_reused", clean_reused.into()),
                 ],
             );
         }
-        Ok(AnalysisReport::new(name, cache.verdicts.clone()))
+        Ok(AnalysisReport::new(self.name, cache.verdicts.clone()))
     }
 
     /// Computes the verdict for one flow; every higher-priority flow has

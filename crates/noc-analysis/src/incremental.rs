@@ -11,11 +11,16 @@
 //! [`IncrementalContext`] keeps the derived structure **and** the last
 //! solve's results alive across mutations:
 //!
+//! * it is an owned [`AnalysisContext`] plus one solve cache per
+//!   [`AnalysisKind`], so every analysis entry point and the conservative
+//!   bound read the same structure a from-scratch context would hold;
 //! * [`IncrementalContext::add_flow`] / [`IncrementalContext::remove_flow`]
-//!   update the owned [`InterferenceGraph`] through its delta methods
+//!   update the context's [`InterferenceGraph`] through its delta methods
 //!   ([`InterferenceGraph::add_flow`] / [`InterferenceGraph::remove_flow`]),
 //!   which recompute only the affected neighbourhood and report exactly
-//!   which flows' interference sets changed;
+//!   which flows' interference sets changed. A context forked with
+//!   [`IncrementalContext::from_context`] shares the base's graph until
+//!   its first such delta copies it;
 //! * those flows are marked dirty in a per-analysis solve cache; the next
 //!   [`IncrementalContext::analyze`] propagates dirtiness down the priority
 //!   order (a flow is re-solved iff a member of `S^D ∪ S^I` — all strictly
@@ -51,6 +56,8 @@
 //! # assert!(admitted);
 //! # Ok::<(), noc_analysis::error::AnalysisError>(())
 //! ```
+
+use std::borrow::Cow;
 
 use noc_model::contention::InterferenceGraph;
 use noc_model::flow::Flow;
@@ -92,15 +99,12 @@ pub enum Delta {
 /// A [`System`] plus its derived analysis structure, maintained
 /// incrementally under flow additions and removals.
 ///
-/// Unlike [`AnalysisContext`], which borrows its system and shares an
-/// immutable graph, this type **owns** both so it can mutate them in place.
-/// See the [module docs](self) for the admission-control pattern it serves.
+/// An owned [`AnalysisContext`] plus the last solve of every
+/// [`AnalysisKind`]. See the [module docs](self) for the admission-control
+/// pattern it serves.
 #[derive(Debug, Clone)]
 pub struct IncrementalContext {
-    system: System,
-    graph: InterferenceGraph,
-    priority_order: Vec<FlowId>,
-    zero_load: Vec<u128>,
+    ctx: AnalysisContext<'static>,
     /// One solve cache per [`AnalysisKind`], indexed by `AnalysisKind::index`.
     caches: [SolveCache; AnalysisKind::ALL.len()],
 }
@@ -113,31 +117,25 @@ impl IncrementalContext {
     /// Returns [`AnalysisError::Model`] if the system violates the
     /// contiguous contention-domain assumption.
     pub fn new(system: System) -> Result<IncrementalContext, AnalysisError> {
-        let graph = InterferenceGraph::new(&system)?;
-        Ok(Self::assemble(system, graph))
+        Ok(Self::with_context(AnalysisContext::build(Cow::Owned(
+            system,
+        ))?))
     }
 
     /// Builds an incremental context from an existing [`AnalysisContext`],
-    /// cloning its system and interference graph instead of re-deriving
-    /// them — the cheap way to fork per-thread mutable state off one shared
-    /// base context.
+    /// cloning its system and *sharing* its interference graph instead of
+    /// re-deriving it — the cheap way to fork per-thread mutable state off
+    /// one shared base context. The graph is copied only when the first
+    /// [`IncrementalContext::add_flow`] or
+    /// [`IncrementalContext::remove_flow`] mutates it.
     pub fn from_context(ctx: &AnalysisContext<'_>) -> IncrementalContext {
-        Self::assemble(ctx.system().clone(), ctx.graph().clone())
+        Self::with_context(ctx.clone().into_owned())
     }
 
-    fn assemble(system: System, graph: InterferenceGraph) -> IncrementalContext {
-        let priority_order = system.flows().ids_by_priority();
-        let zero_load: Vec<u128> = system
-            .flows()
-            .ids()
-            .map(|id| u128::from(system.zero_load_latency(id).as_u64()))
-            .collect();
-        let n = zero_load.len();
+    fn with_context(ctx: AnalysisContext<'static>) -> IncrementalContext {
+        let n = ctx.len();
         IncrementalContext {
-            system,
-            graph,
-            priority_order,
-            zero_load,
+            ctx,
             caches: std::array::from_fn(|_| SolveCache::all_dirty(n)),
         }
     }
@@ -157,20 +155,11 @@ impl IncrementalContext {
         flow: Flow,
         routing: &dyn RoutingAlgorithm,
     ) -> Result<FlowId, AnalysisError> {
-        let (system, id) = self.system.with_added_flow(flow, routing)?;
-        let affected = self.graph.add_flow(&system, id)?;
-        self.system = system;
-        self.priority_order = self.system.flows().ids_by_priority();
-        self.zero_load
-            .push(u128::from(self.system.zero_load_latency(id).as_u64()));
+        let (id, affected) = self.ctx.add_flow(flow, routing)?;
         for cache in &mut self.caches {
             cache.push_flow();
-            for &a in &affected {
-                cache.mark_dirty(a.index());
-            }
         }
-        metrics::INCREMENTAL_DELTAS.incr();
-        metrics::INCREMENTAL_FLOWS_DIRTIED.add(affected.len() as u64);
+        self.mark_dirty(&affected, &AnalysisKind::ALL);
         Ok(id)
     }
 
@@ -181,20 +170,24 @@ impl IncrementalContext {
     /// Returns [`AnalysisError::Model`] if `id` is out of bounds; the
     /// context is unchanged in that case.
     pub fn remove_flow(&mut self, id: FlowId) -> Result<(), AnalysisError> {
-        let system = self.system.without_flow(id)?;
-        let affected = self.graph.remove_flow(&system, id);
-        self.system = system;
-        self.priority_order = self.system.flows().ids_by_priority();
-        self.zero_load.remove(id.index());
+        let affected = self.ctx.remove_flow(id)?;
         for cache in &mut self.caches {
             cache.remove_flow(id.index());
-            for &a in &affected {
+        }
+        self.mark_dirty(&affected, &AnalysisKind::ALL);
+        Ok(())
+    }
+
+    /// Marks `affected` dirty in the caches of `kinds` and counts the delta.
+    fn mark_dirty(&mut self, affected: &[FlowId], kinds: &[AnalysisKind]) {
+        for kind in kinds {
+            let cache = &mut self.caches[kind.index()];
+            for &a in affected {
                 cache.mark_dirty(a.index());
             }
         }
         metrics::INCREMENTAL_DELTAS.incr();
         metrics::INCREMENTAL_FLOWS_DIRTIED.add(affected.len() as u64);
-        Ok(())
     }
 
     /// Resizes the per-VC buffers of `router` to `depth` flits.
@@ -220,24 +213,20 @@ impl IncrementalContext {
     /// queries before applying them.
     pub fn resize_buffer(&mut self, router: RouterId, depth: u32) {
         let affected = self.buffer_dependents(router);
-        self.system = self.system.with_router_buffer_depth(router, depth);
-        let cache = &mut self.caches[AnalysisKind::BufferAware.index()];
-        for &a in &affected {
-            cache.mark_dirty(a.index());
-        }
-        metrics::INCREMENTAL_DELTAS.incr();
-        metrics::INCREMENTAL_FLOWS_DIRTIED.add(affected.len() as u64);
+        self.ctx.resize_buffer(router, depth);
+        self.mark_dirty(&affected, &[AnalysisKind::BufferAware]);
     }
 
     /// Flows whose buffer-aware bound reads the depth of `router`: the
     /// victims of direct interference pairs whose contention domain
     /// contains a link targeting it.
     fn buffer_dependents(&self, router: RouterId) -> Vec<FlowId> {
-        let topology = self.system.topology();
+        let (system, graph) = (self.ctx.system(), self.ctx.graph());
+        let topology = system.topology();
         let mut out = Vec::new();
-        for i in self.system.flows().ids() {
-            let touches = self.graph.direct_set(i).iter().any(|&j| {
-                self.graph.contention_domain(i, j).is_some_and(|cd| {
+        for i in system.flows().ids() {
+            let touches = graph.direct_set(i).iter().any(|&j| {
+                graph.contention_domain(i, j).is_some_and(|cd| {
                     cd.links()
                         .iter()
                         .any(|&l| topology.link(l).target() == Endpoint::Router(router))
@@ -289,16 +278,7 @@ impl IncrementalContext {
     /// cache is then marked all-dirty, so a later call (after the offending
     /// flow is removed) recovers with a full solve.
     pub fn analyze(&mut self, kind: AnalysisKind) -> Result<AnalysisReport, AnalysisError> {
-        let (downstream, jitter) = kind.models();
-        let solver = Solver::from_parts(
-            &self.system,
-            &self.graph,
-            &self.priority_order,
-            &self.zero_load,
-            downstream,
-            jitter,
-        );
-        solver.solve_cached(kind.name(), &mut self.caches[kind.index()])
+        Solver::new(&self.ctx, kind).solve_cached(&mut self.caches[kind.index()])
     }
 
     /// [`IncrementalContext::analyze`] under a cooperative [`Budget`]: the
@@ -320,17 +300,9 @@ impl IncrementalContext {
         kind: AnalysisKind,
         budget: &Budget,
     ) -> Result<AnalysisReport, AnalysisError> {
-        let (downstream, jitter) = kind.models();
-        let solver = Solver::from_parts(
-            &self.system,
-            &self.graph,
-            &self.priority_order,
-            &self.zero_load,
-            downstream,
-            jitter,
-        )
-        .with_budget(budget);
-        solver.solve_cached(kind.name(), &mut self.caches[kind.index()])
+        Solver::new(&self.ctx, kind)
+            .with_budget(budget)
+            .solve_cached(&mut self.caches[kind.index()])
     }
 
     /// The cheap, non-iterative conservative bound over the current flow
@@ -341,32 +313,27 @@ impl IncrementalContext {
     /// Total (never fails), does not touch the solve caches, and does not
     /// depend on them: it reads only the incrementally maintained structure.
     pub fn conservative_report(&self) -> AnalysisReport {
-        crate::conservative::conservative_from_parts(
-            &self.system,
-            &self.graph,
-            &self.priority_order,
-            &self.zero_load,
-        )
+        crate::conservative::conservative_with(&self.ctx)
     }
 
     /// The current system.
     pub fn system(&self) -> &System {
-        &self.system
+        self.ctx.system()
     }
 
     /// The incrementally maintained interference graph.
     pub fn graph(&self) -> &InterferenceGraph {
-        &self.graph
+        self.ctx.graph()
     }
 
     /// Number of flows currently covered.
     pub fn len(&self) -> usize {
-        self.zero_load.len()
+        self.ctx.len()
     }
 
     /// `true` for an empty flow set.
     pub fn is_empty(&self) -> bool {
-        self.zero_load.is_empty()
+        self.ctx.is_empty()
     }
 }
 
@@ -403,27 +370,14 @@ mod tests {
         (0, 10, 6, 3500),
     ];
 
-    /// Every kind's incremental report must equal the from-scratch trait
-    /// path over the same system.
+    /// Every kind's incremental report must equal the from-scratch
+    /// context path over the same system.
     fn assert_matches_scratch(ctx: &mut IncrementalContext) {
         let sys = ctx.system().clone();
         let scratch = AnalysisContext::new(&sys).unwrap();
-        for (kind, analysis) in AnalysisKind::ALL
-            .iter()
-            .zip(crate::analysis::all_analyses())
-        {
-            let expected = analysis.analyze_with(&scratch).unwrap();
-            assert_eq!(ctx.analyze(*kind).unwrap(), expected, "{}", kind.name());
-        }
-    }
-
-    #[test]
-    fn kind_names_match_trait_names() {
-        for (kind, analysis) in AnalysisKind::ALL
-            .iter()
-            .zip(crate::analysis::all_analyses())
-        {
-            assert_eq!(kind.name(), analysis.name());
+        for kind in AnalysisKind::ALL {
+            let expected = kind.analyze_with(&scratch).unwrap();
+            assert_eq!(ctx.analyze(kind).unwrap(), expected, "{}", kind.name());
         }
     }
 
@@ -481,11 +435,43 @@ mod tests {
     fn from_context_matches_new() {
         let sys = mesh_system(&SPECS);
         let base = AnalysisContext::new(&sys).unwrap();
+        let before: Vec<AnalysisReport> = AnalysisKind::ALL
+            .iter()
+            .map(|k| k.analyze_with(&base).unwrap())
+            .collect();
         let mut forked = IncrementalContext::from_context(&base);
         let mut fresh = IncrementalContext::new(sys.clone()).unwrap();
         for &kind in &AnalysisKind::ALL {
             assert_eq!(forked.analyze(kind).unwrap(), fresh.analyze(kind).unwrap());
         }
+        // Solves and buffer resizes leave the base graph shared …
+        forked.resize_buffer(RouterId::new(5), 8);
+        let _ = forked.analyze(AnalysisKind::BufferAware).unwrap();
+        assert!(std::ptr::eq(forked.graph(), base.graph()));
+        // … until the first flow delta copies it.
+        let id = forked
+            .add_flow(mesh_flow((3, 12, 7, 4000)), &XyRouting)
+            .unwrap();
+        assert!(!std::ptr::eq(forked.graph(), base.graph()));
+        forked.remove_flow(id).unwrap();
+        forked.remove_flow(FlowId::new(0)).unwrap();
+        let _ = forked.analyze(AnalysisKind::BufferAware).unwrap();
+        // The base context never sees the fork's mutations.
+        assert_eq!(base.len(), SPECS.len());
+        for (&kind, report) in AnalysisKind::ALL.iter().zip(&before) {
+            assert_eq!(
+                &kind.analyze_with(&base).unwrap(),
+                report,
+                "{}",
+                kind.name()
+            );
+        }
+
+        let mut removed = IncrementalContext::from_context(&base);
+        assert!(std::ptr::eq(removed.graph(), base.graph()));
+        removed.remove_flow(FlowId::new(2)).unwrap();
+        assert!(!std::ptr::eq(removed.graph(), base.graph()));
+        assert_matches_scratch(&mut removed);
     }
 
     #[test]

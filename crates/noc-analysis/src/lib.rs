@@ -48,13 +48,18 @@
 //!
 //! # Amortising the interference structure
 //!
-//! All five analyses consume the same derived structure (interference graph,
-//! priority order, zero-load latencies). Build an
-//! [`AnalysisContext`] once per flow set and run
-//! every analysis against it with [`Analysis::analyze_with`]; derived
-//! systems (other buffer depths, scaled periods) share the graph through
-//! [`AnalysisContext::rebase`]. The
-//! experiment harnesses in `noc-experiments` rely on this throughout.
+//! All five analyses are variants of one [`AnalysisKind`] and consume the
+//! same derived structure (interference graph, priority order, zero-load
+//! latencies). Build an [`AnalysisContext`] once per flow set and run every
+//! analysis against it with [`AnalysisKind::analyze_with`]; derived systems
+//! (other buffer depths, scaled periods) share the graph through
+//! [`AnalysisContext::rebase`]. The experiment harnesses in
+//! `noc-experiments` rely on this throughout.
+//!
+//! An [`IncrementalContext`] is the same context owned, plus per-analysis
+//! solve caches, for flow sets that change between solves. Forked from a
+//! shared base with [`IncrementalContext::from_context`], it shares the
+//! base's graph until its first flow delta.
 //!
 //! # Module map (code ↔ paper)
 //!
@@ -89,9 +94,7 @@ pub mod incremental;
 pub mod metrics;
 pub mod report;
 
-pub use analysis::{
-    all_analyses, Analysis, AnalysisKind, BufferAware, NoIndirect, ShiBurns, XiongOriginal, Xlwx,
-};
+pub use analysis::{AnalysisKind, BufferAware, NoIndirect, ShiBurns, XiongOriginal, Xlwx};
 pub use budget::Budget;
 pub use conservative::conservative_with;
 pub use context::AnalysisContext;
@@ -102,8 +105,7 @@ pub use report::{AnalysisReport, FlowExplanation, FlowVerdict, InterferenceTerm}
 /// Convenient re-exports of the crate's public surface.
 pub mod prelude {
     pub use crate::analysis::{
-        all_analyses, Analysis, AnalysisKind, BufferAware, NoIndirect, ShiBurns, XiongOriginal,
-        Xlwx,
+        AnalysisKind, BufferAware, NoIndirect, ShiBurns, XiongOriginal, Xlwx,
     };
     pub use crate::budget::Budget;
     pub use crate::conservative::conservative_with;

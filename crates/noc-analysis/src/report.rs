@@ -84,7 +84,7 @@ impl InterferenceTerm {
 /// A per-flow breakdown of where a response-time bound comes from:
 /// `R = C + Σ terms.total()` at the fixed point.
 ///
-/// Produced by [`Analysis::explain`](crate::analysis::Analysis::explain);
+/// Produced by [`AnalysisKind::explain`](crate::analysis::AnalysisKind::explain);
 /// the sum identity is checked by tests and makes the analyses auditable
 /// term by term.
 #[derive(Debug, Clone, PartialEq, Eq)]

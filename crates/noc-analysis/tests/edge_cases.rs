@@ -29,7 +29,7 @@ fn taint_propagates_past_deadline_miss() {
     ])
     .unwrap();
     let system = System::new(topology, NocConfig::default(), flows, &XyRouting).unwrap();
-    for analysis in all_analyses() {
+    for analysis in AnalysisKind::ALL {
         let report = analysis.analyze(&system).unwrap();
         assert!(report.verdict(FlowId::new(0)).is_schedulable());
         assert!(matches!(
@@ -126,7 +126,7 @@ fn not_converged_is_never_reached_on_constrained_deadlines() {
         let system = SyntheticSpec::paper(4, 4, 60, 2)
             .generate(seed)
             .into_system();
-        for analysis in all_analyses() {
+        for analysis in AnalysisKind::ALL {
             let report = analysis.analyze(&system).unwrap();
             for (id, v) in report.iter() {
                 assert_ne!(v, FlowVerdict::NotConverged, "{} {id}", analysis.name());
@@ -155,7 +155,7 @@ fn empty_interference_graph_yields_zero_load_bounds() {
     ])
     .unwrap();
     let system = System::new(topology, NocConfig::default(), flows, &XyRouting).unwrap();
-    for analysis in all_analyses() {
+    for analysis in AnalysisKind::ALL {
         let report = analysis.analyze(&system).unwrap();
         for id in system.flows().ids() {
             assert_eq!(

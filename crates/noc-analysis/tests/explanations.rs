@@ -9,7 +9,7 @@ use noc_workload::synthetic::SyntheticSpec;
 
 #[test]
 fn breakdown_reconstructs_bound_on_didactic() {
-    for analysis in all_analyses() {
+    for analysis in AnalysisKind::ALL {
         for buffer in [2u32, 10] {
             let system = didactic::system(buffer);
             let report = analysis.analyze(&system).unwrap();
@@ -66,7 +66,7 @@ fn breakdown_reconstructs_bound_on_synthetic_sets() {
         spec.period_range = (2_000, 120_000);
         spec.length_range = (16, 256);
         let system = spec.generate(seed).into_system();
-        for analysis in all_analyses() {
+        for analysis in AnalysisKind::ALL {
             for ex in analysis.explain(&system).unwrap() {
                 if let Some(r) = ex.verdict.response_time() {
                     assert_eq!(ex.reconstructed_bound(), r, "{}", analysis.name());
@@ -95,7 +95,7 @@ fn explanations_display_readably() {
 #[test]
 fn top_priority_flow_has_no_terms() {
     let system = didactic::system(2);
-    for analysis in all_analyses() {
+    for analysis in AnalysisKind::ALL {
         let ex = analysis.explain(&system).unwrap();
         assert!(ex[DidacticFlows::ids().tau1.index()].terms.is_empty());
     }

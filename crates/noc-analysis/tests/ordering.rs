@@ -118,7 +118,7 @@ proptest! {
     #[test]
     fn bounds_bracket(seed in 0u64..10_000, n in 4usize..24) {
         let sys = workload(seed, n, 4);
-        for analysis in all_analyses() {
+        for analysis in AnalysisKind::ALL {
             let report = analysis.analyze(&sys).unwrap();
             for (id, v) in report.iter() {
                 if let Some(r) = v.response_time() {
@@ -134,7 +134,7 @@ proptest! {
     fn top_priority_is_zero_load(seed in 0u64..10_000, n in 2usize..20) {
         let sys = workload(seed, n, 4);
         let top = sys.flows().ids_by_priority()[0];
-        for analysis in all_analyses() {
+        for analysis in AnalysisKind::ALL {
             let report = analysis.analyze(&sys).unwrap();
             prop_assert_eq!(
                 report.response_time(top),

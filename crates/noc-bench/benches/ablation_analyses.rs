@@ -16,7 +16,7 @@ fn ablation(c: &mut Criterion) {
     let system = didactic::system(10);
     let tau3 = DidacticFlows::ids().tau3;
     println!("\n=== Ablation: bound on the didactic MPB victim τ3 (b=10) ===");
-    for analysis in all_analyses() {
+    for analysis in AnalysisKind::ALL {
         let bound = analysis
             .analyze(&system)
             .unwrap()
@@ -36,7 +36,7 @@ fn ablation(c: &mut Criterion) {
     // Schedulability on a loaded synthetic platform.
     let loaded = bench_system(4, 200, 2, 0xAB1A);
     println!("\n=== Ablation: schedulable flows out of 200 (4x4, loaded) ===");
-    for analysis in all_analyses() {
+    for analysis in AnalysisKind::ALL {
         let report = analysis.analyze(&loaded).unwrap();
         println!(
             "  {:<10} {:>4}/200 flows, set schedulable: {}",
@@ -48,7 +48,7 @@ fn ablation(c: &mut Criterion) {
     println!();
 
     let mut group = c.benchmark_group("ablation_analyses");
-    for analysis in all_analyses() {
+    for analysis in AnalysisKind::ALL {
         group.bench_function(format!("{}/200-flows", analysis.name()), |b| {
             b.iter(|| black_box(analysis.analyze(black_box(&loaded)).unwrap()))
         });

@@ -14,11 +14,7 @@ fn scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("analysis_scaling");
     for &n in &[40usize, 80, 160, 320] {
         let system = bench_system(4, n, 2, 0x5CA1E + n as u64);
-        for (name, analysis) in [
-            ("SB", &ShiBurns as &dyn Analysis),
-            ("XLWX", &Xlwx),
-            ("IBN", &BufferAware),
-        ] {
+        for (name, analysis) in [("SB", ShiBurns), ("XLWX", Xlwx), ("IBN", BufferAware)] {
             group.bench_with_input(BenchmarkId::new(name, n), &system, |b, sys| {
                 b.iter(|| black_box(analysis.analyze(black_box(sys)).unwrap()))
             });

@@ -19,7 +19,7 @@ fn regenerate_and_bench(c: &mut Criterion) {
 
     let system = bench_system(4, 120, 2, 0xBDF);
     let mut group = c.benchmark_group("breakdown_scaling");
-    for (name, analysis) in [("SB", &ShiBurns as &dyn Analysis), ("IBN", &BufferAware)] {
+    for (name, analysis) in [("SB", ShiBurns), ("IBN", BufferAware)] {
         group.bench_function(format!("search/{name}/120-flows"), |b| {
             b.iter(|| black_box(breakdown_factor(black_box(&system), analysis)))
         });

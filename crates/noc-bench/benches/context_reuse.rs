@@ -2,7 +2,7 @@
 //!
 //! The experiment harnesses run 4–5 analyses (and several buffer depths)
 //! over every flow set. `direct` re-derives the interference graph inside
-//! every `Analysis::analyze` call; `shared-context` builds one
+//! every `AnalysisKind::analyze` call; `shared-context` builds one
 //! `AnalysisContext` and runs every analysis against it (the harness path
 //! since the context refactor); `context-build` isolates the derivation
 //! cost being amortised. Fixtures go up to the north-star scale: a 16×16

@@ -161,7 +161,7 @@ pub fn bench_context_reuse(c: &mut Criterion, fixtures: &[(&'static str, System)
     for (label, system) in fixtures {
         group.bench_with_input(BenchmarkId::new("direct", label), system, |b, sys| {
             b.iter(|| {
-                for analysis in all_analyses() {
+                for analysis in AnalysisKind::ALL {
                     black_box(analysis.analyze(black_box(sys)).unwrap());
                 }
             })
@@ -172,7 +172,7 @@ pub fn bench_context_reuse(c: &mut Criterion, fixtures: &[(&'static str, System)
             |b, sys| {
                 b.iter(|| {
                     let ctx = AnalysisContext::new(black_box(sys)).unwrap();
-                    for analysis in all_analyses() {
+                    for analysis in AnalysisKind::ALL {
                         black_box(analysis.analyze_with(&ctx).unwrap());
                     }
                 })
@@ -286,7 +286,7 @@ pub fn bench_admission_serving(c: &mut Criterion, label: &str, system: &System) 
         analysis: AnalysisKind::BufferAware,
         queries: noc_serve::sample_queries(system, 64),
     };
-    let mut thread_counts = vec![1, 2, noc_serve::default_threads()];
+    let mut thread_counts = vec![1, 2, noc_experiments::runner::default_threads()];
     thread_counts.sort_unstable();
     thread_counts.dedup();
     for threads in thread_counts {

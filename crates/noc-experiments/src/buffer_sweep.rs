@@ -104,7 +104,9 @@ pub fn run(config: &BufferSweepConfig) -> BufferSweepResults {
             .iter()
             .map(|&b| {
                 let sys = system.with_buffer_depth(b);
-                let depth_ctx = ctx.rebased(&sys);
+                let depth_ctx = ctx
+                    .rebase(&sys)
+                    .expect("a buffer variant keeps the interference structure");
                 BufferAware
                     .analyze_with(&depth_ctx)
                     .map(|r| r.is_schedulable())
@@ -125,7 +127,9 @@ pub fn run(config: &BufferSweepConfig) -> BufferSweepResults {
                 .with_buffer_depth_range(lo, hi)
                 .generate(seed)
                 .into_system();
-            let hetero_ctx = ctx.rebased(&sys);
+            let hetero_ctx = ctx
+                .rebase(&sys)
+                .expect("a buffer variant keeps the interference structure");
             BufferAware
                 .analyze_with(&hetero_ctx)
                 .map(|r| r.is_schedulable())

@@ -153,30 +153,34 @@ pub fn judge_set_with(
     buffer_large: u32,
     exhaustive: bool,
 ) -> SetVerdicts {
-    let schedulable = |analysis: &dyn Analysis, ctx: &AnalysisContext<'_>| {
+    let schedulable = |analysis: AnalysisKind, ctx: &AnalysisContext<'_>| {
         analysis
             .analyze_with(ctx)
             .map(|r| r.is_schedulable())
             .unwrap_or(false)
     };
     let small_sys = ctx.system().with_buffer_depth(buffer_small);
-    let small = ctx.rebased(&small_sys);
-    let sb = schedulable(&ShiBurns, &small);
+    let small = ctx
+        .rebase(&small_sys)
+        .expect("a buffer variant keeps the interference structure");
+    let sb = schedulable(ShiBurns, &small);
     if exhaustive {
         let large_sys = ctx.system().with_buffer_depth(buffer_large);
-        let large = ctx.rebased(&large_sys);
+        let large = ctx
+            .rebase(&large_sys)
+            .expect("a buffer variant keeps the interference structure");
         return SetVerdicts {
             sb,
-            xlwx: schedulable(&Xlwx, &small),
-            ibn_small: schedulable(&BufferAware, &small),
-            ibn_large: schedulable(&BufferAware, &large),
+            xlwx: schedulable(Xlwx, &small),
+            ibn_small: schedulable(BufferAware, &small),
+            ibn_large: schedulable(BufferAware, &large),
         };
     }
     // Lazy evaluation along the inclusion chain
     // sched(XLWX) ⊆ sched(IBN_large) ⊆ sched(IBN_small):
     // – an unschedulable IBN_small implies the others are unschedulable;
     // – a schedulable XLWX implies the others are schedulable.
-    let ibn_small = schedulable(&BufferAware, &small);
+    let ibn_small = schedulable(BufferAware, &small);
     if !ibn_small {
         return SetVerdicts {
             sb,
@@ -185,13 +189,15 @@ pub fn judge_set_with(
             ibn_large: false,
         };
     }
-    let xlwx = schedulable(&Xlwx, &small);
+    let xlwx = schedulable(Xlwx, &small);
     let ibn_large = if xlwx {
         true
     } else {
         let large_sys = ctx.system().with_buffer_depth(buffer_large);
-        let large = ctx.rebased(&large_sys);
-        schedulable(&BufferAware, &large)
+        let large = ctx
+            .rebase(&large_sys)
+            .expect("a buffer variant keeps the interference structure");
+        schedulable(BufferAware, &large)
     };
     SetVerdicts {
         sb,

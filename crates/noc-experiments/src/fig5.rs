@@ -98,22 +98,24 @@ fn judge_mapping(
     let Ok(ctx) = AnalysisContext::new(system) else {
         return (false, false, false);
     };
-    let schedulable = |analysis: &dyn Analysis, ctx: &AnalysisContext<'_>| {
+    let schedulable = |analysis: AnalysisKind, ctx: &AnalysisContext<'_>| {
         analysis
             .analyze_with(ctx)
             .map(|r| r.is_schedulable())
             .unwrap_or(false)
     };
     // Lazy evaluation along sched(XLWX) ⊆ sched(IBN100) ⊆ sched(IBN2).
-    let ibn_small = schedulable(&BufferAware, &ctx);
+    let ibn_small = schedulable(BufferAware, &ctx);
     if !ibn_small {
         return (false, false, false);
     }
-    let xlwx = schedulable(&Xlwx, &ctx);
+    let xlwx = schedulable(Xlwx, &ctx);
     let ibn_large = xlwx || {
         let large_sys = system.with_buffer_depth(config.buffer_large);
-        let large = ctx.rebased(&large_sys);
-        schedulable(&BufferAware, &large)
+        let large = ctx
+            .rebase(&large_sys)
+            .expect("a buffer variant keeps the interference structure");
+        schedulable(BufferAware, &large)
     };
     (xlwx, ibn_small, ibn_large)
 }

@@ -23,7 +23,7 @@ const DENOM: u64 = 1 << 10;
 /// is fully schedulable under `analysis`. Period scaling preserves routes
 /// and priorities, so the scaled system shares the context's interference
 /// graph via [`AnalysisContext::rebase`].
-fn schedulable_at(ctx: &AnalysisContext<'_>, analysis: &dyn Analysis, num: u64) -> bool {
+fn schedulable_at(ctx: &AnalysisContext<'_>, analysis: AnalysisKind, num: u64) -> bool {
     ctx.system()
         .with_scaled_periods(num, DENOM)
         .ok()
@@ -58,11 +58,11 @@ fn schedulable_at(ctx: &AnalysisContext<'_>, analysis: &dyn Analysis, num: u64) 
 /// #     .priority(Priority::new(1)).period(Cycles::new(1000)).length_flits(10).build()])?;
 /// # let system = System::new(topology, NocConfig::default(), flows, &XyRouting)?;
 /// // A lightly loaded system has headroom: breakdown factor well below 1.
-/// let alpha = breakdown_factor(&system, &BufferAware).unwrap();
+/// let alpha = breakdown_factor(&system, BufferAware).unwrap();
 /// assert!(alpha < 0.1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn breakdown_factor(system: &System, analysis: &dyn Analysis) -> Option<f64> {
+pub fn breakdown_factor(system: &System, analysis: AnalysisKind) -> Option<f64> {
     let ctx = AnalysisContext::new(system).ok()?;
     breakdown_factor_with(&ctx, analysis)
 }
@@ -70,7 +70,7 @@ pub fn breakdown_factor(system: &System, analysis: &dyn Analysis) -> Option<f64>
 /// [`breakdown_factor`] against a shared [`AnalysisContext`]: every probe of
 /// the binary search (≈ 12 analyses) rebases the context instead of
 /// re-deriving the interference graph.
-pub fn breakdown_factor_with(ctx: &AnalysisContext<'_>, analysis: &dyn Analysis) -> Option<f64> {
+pub fn breakdown_factor_with(ctx: &AnalysisContext<'_>, analysis: AnalysisKind) -> Option<f64> {
     let mut hi = DENOM * 64;
     if !schedulable_at(ctx, analysis, hi) {
         return None;
@@ -193,13 +193,15 @@ pub fn run(config: &ScalingConfig) -> ScalingResults {
                 }
             }
         };
-        let large_ctx = ctx.rebased(&large);
+        let large_ctx = ctx
+            .rebase(&large)
+            .expect("a buffer variant keeps the interference structure");
         BreakdownRow {
             seed,
-            sb: breakdown_factor_with(&ctx, &ShiBurns),
-            xlwx: breakdown_factor_with(&ctx, &Xlwx),
-            ibn_small: breakdown_factor_with(&ctx, &BufferAware),
-            ibn_large: breakdown_factor_with(&large_ctx, &BufferAware),
+            sb: breakdown_factor_with(&ctx, ShiBurns),
+            xlwx: breakdown_factor_with(&ctx, Xlwx),
+            ibn_small: breakdown_factor_with(&ctx, BufferAware),
+            ibn_large: breakdown_factor_with(&large_ctx, BufferAware),
         }
     });
     ScalingResults { rows }
@@ -239,9 +241,9 @@ mod tests {
     fn breakdown_respects_analysis_ordering() {
         for seed in [1u64, 2, 3] {
             let sys = loaded_system(seed);
-            let sb = breakdown_factor(&sys, &ShiBurns).unwrap();
-            let ibn = breakdown_factor(&sys, &BufferAware).unwrap();
-            let xlwx = breakdown_factor(&sys, &Xlwx).unwrap();
+            let sb = breakdown_factor(&sys, ShiBurns).unwrap();
+            let ibn = breakdown_factor(&sys, BufferAware).unwrap();
+            let xlwx = breakdown_factor(&sys, Xlwx).unwrap();
             assert!(sb <= ibn + 1e-9, "seed {seed}");
             assert!(ibn <= xlwx + 1e-9, "seed {seed}");
         }
@@ -251,7 +253,7 @@ mod tests {
     fn breakdown_consistent_with_schedulability() {
         let sys = loaded_system(7);
         let report = BufferAware.analyze(&sys).unwrap();
-        let alpha = breakdown_factor(&sys, &BufferAware).unwrap();
+        let alpha = breakdown_factor(&sys, BufferAware).unwrap();
         if report.is_schedulable() {
             assert!(alpha <= 1.0);
         } else {
@@ -266,7 +268,7 @@ mod tests {
         let ctx = AnalysisContext::new(&sys).unwrap();
         let mut last = false;
         for num in [256u64, 512, 1024, 2048, 4096, 16384] {
-            let ok = schedulable_at(&ctx, &BufferAware, num);
+            let ok = schedulable_at(&ctx, BufferAware, num);
             assert!(ok || !last, "schedulability regressed as periods grew");
             last = ok;
         }
@@ -276,7 +278,7 @@ mod tests {
     fn context_backed_breakdown_matches_direct_path() {
         let sys = loaded_system(5);
         let ctx = AnalysisContext::new(&sys).unwrap();
-        for analysis in [&ShiBurns as &dyn Analysis, &Xlwx, &BufferAware] {
+        for analysis in [ShiBurns, Xlwx, BufferAware] {
             assert_eq!(
                 breakdown_factor(&sys, analysis),
                 breakdown_factor_with(&ctx, analysis),

@@ -140,17 +140,19 @@ pub fn run_with(mode: SweepMode) -> Table2Results {
     let sys2 = didactic::system(2);
     let ctx2 = AnalysisContext::new(&sys2).expect("didactic system analyses");
     let sys10 = sys2.with_buffer_depth(10);
-    let ctx10 = ctx2.rebased(&sys10);
-    let bounds = |analysis: &dyn Analysis, ctx: &AnalysisContext<'_>| -> [u64; 3] {
+    let ctx10 = ctx2
+        .rebase(&sys10)
+        .expect("a buffer variant keeps the interference structure");
+    let bounds = |analysis: AnalysisKind, ctx: &AnalysisContext<'_>| -> [u64; 3] {
         let report = analysis
             .analyze_with(ctx)
             .expect("didactic system analyses");
         [f.tau1, f.tau2, f.tau3].map(|id| report.response_time(id).expect("schedulable").as_u64())
     };
-    let sb = bounds(&ShiBurns, &ctx2);
-    let xlwx = bounds(&Xlwx, &ctx2);
-    let ibn10 = bounds(&BufferAware, &ctx10);
-    let ibn2 = bounds(&BufferAware, &ctx2);
+    let sb = bounds(ShiBurns, &ctx2);
+    let xlwx = bounds(Xlwx, &ctx2);
+    let ibn10 = bounds(BufferAware, &ctx10);
+    let ibn2 = bounds(BufferAware, &ctx2);
     let sweep_b10 = simulate_worst(10, mode);
     let sweep_b2 = simulate_worst(2, mode);
     Table2Results {

@@ -26,14 +26,15 @@
 //!
 //! * `fixture` — `didactic` (default), `8x8`, or `16x16`
 //! * `n_queries` — number of queries in the batch (default 64)
-//! * `threads` — worker threads (default: available parallelism, ≤ 16)
+//! * `threads` — worker threads, at least 1 (default: available
+//!   parallelism, ≤ 16)
 
 use std::env;
 use std::error::Error;
 
 use noc_analysis::prelude::*;
 use noc_model::prelude::*;
-use noc_serve::{default_threads, run_batch_with, sample_queries, QueryBatch, ServeOptions};
+use noc_serve::{run_batch_with, sample_queries, QueryBatch, ServeOptions};
 use noc_workload::didactic;
 use noc_workload::synthetic::SyntheticSpec;
 
@@ -85,8 +86,11 @@ fn run() -> Result<(), Box<dyn Error>> {
     };
     let threads: usize = match args.get(2) {
         Some(s) => s.parse()?,
-        None => default_threads(),
+        None => std::thread::available_parallelism().map_or(4, |n| n.get().min(16)),
     };
+    if threads == 0 {
+        return Err("threads must be at least 1".into());
+    }
     let options = ServeOptions::try_from_env()?;
     if options.faults.is_some() {
         quiet_injected_panics();

@@ -34,14 +34,15 @@
 //!   [`AnalysisContext::rebase`] (an `Arc` clone: zero copying), because a
 //!   buffer depth change preserves the interference structure;
 //! * flow mutations need a *mutable* graph, so each worker thread forks one
-//!   [`IncrementalContext`] from the base (`from_context` clones the graph
-//!   rather than re-deriving it) and then serves all its queries through
-//!   add → dirty-bit re-solve → remove undo cycles, touching only the
-//!   interference neighbourhood each candidate overlaps.
+//!   [`IncrementalContext`] from the base and then serves all its queries
+//!   through add → dirty-bit re-solve → remove undo cycles, touching only
+//!   the interference neighbourhood each candidate overlaps. The fork
+//!   clones the system but shares the base graph; the graph is copied only
+//!   by the shard's first flow delta, so shards that serve only router
+//!   buffer what-ifs never copy it.
 //!
-//! Queries are sharded across threads in contiguous chunks via
-//! `par_map_indexed`; outcomes come back in submission order regardless of
-//! scheduling.
+//! Queries are sharded in contiguous chunks, one scoped thread per shard;
+//! outcomes come back in submission order regardless of scheduling.
 //!
 //! # Fault tolerance
 //!
@@ -82,7 +83,7 @@ pub mod fault;
 pub mod metrics;
 
 use std::env;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use noc_analysis::analysis::AnalysisKind;
@@ -91,7 +92,6 @@ use noc_analysis::context::AnalysisContext;
 use noc_analysis::error::AnalysisError;
 use noc_analysis::incremental::IncrementalContext;
 use noc_analysis::report::AnalysisReport;
-pub use noc_experiments::runner::default_threads;
 use noc_model::flow::Flow;
 use noc_model::ids::FlowId;
 use noc_model::routing::RoutingAlgorithm;
@@ -584,7 +584,7 @@ impl<'a> Shard<'a> {
                         metrics::CONTEXT_REBASES.incr();
                         let result = match budget {
                             Some(budget) => self.kind.analyze_with_budget(&ctx, budget),
-                            None => self.kind.as_analysis().analyze_with(&ctx),
+                            None => self.kind.analyze_with(&ctx),
                         };
                         outcome_of(result, || noc_analysis::conservative_with(&ctx))
                     }
@@ -815,26 +815,38 @@ pub fn run_batch_with(
         })
         .collect();
     let started = Instant::now();
-    let per_shard: Vec<(Vec<QueryOutcome>, u128)> =
-        noc_experiments::runner::par_map_indexed(shards, shards, |s| {
-            let (lo, hi) = bounds[s];
-            let busy = Instant::now();
-            let mut shard = Shard::new(base, routing, batch.analysis);
-            let outcomes: Vec<QueryOutcome> = (lo..hi)
-                .map(|i| match &dispositions[i] {
-                    Disposition::Invalid(reason) => QueryOutcome::Failed {
-                        error: ServeError::InvalidQuery {
-                            reason: reason.clone(),
-                        },
-                    },
-                    Disposition::Shed => QueryOutcome::Shed,
-                    Disposition::Serve => {
-                        serve_isolated(&mut shard, base, &batch.queries[i], i, options)
-                    }
+    // One scoped thread per shard; a worker panic (serve_isolated already
+    // catches query panics) is re-raised on the submitting thread.
+    let dispositions = &dispositions;
+    let per_shard: Vec<(Vec<QueryOutcome>, u128)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = bounds
+            .iter()
+            .map(|&(lo, hi)| {
+                scope.spawn(move || {
+                    let busy = Instant::now();
+                    let mut shard = Shard::new(base, routing, batch.analysis);
+                    let outcomes: Vec<QueryOutcome> = (lo..hi)
+                        .map(|i| match &dispositions[i] {
+                            Disposition::Invalid(reason) => QueryOutcome::Failed {
+                                error: ServeError::InvalidQuery {
+                                    reason: reason.clone(),
+                                },
+                            },
+                            Disposition::Shed => QueryOutcome::Shed,
+                            Disposition::Serve => {
+                                serve_isolated(&mut shard, base, &batch.queries[i], i, options)
+                            }
+                        })
+                        .collect();
+                    (outcomes, busy.elapsed().as_nanos())
                 })
-                .collect();
-            (outcomes, busy.elapsed().as_nanos())
-        });
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|panic| resume_unwind(panic)))
+            .collect()
+    });
     let wall_ns = started.elapsed().as_nanos();
     metrics::BATCHES.incr();
     if noc_telemetry::enabled() {
@@ -949,7 +961,7 @@ mod tests {
                     sys.with_router_buffer_depth(*router, *depth)
                 }
             };
-            let report = batch.analysis.as_analysis().analyze(&expected_sys).unwrap();
+            let report = batch.analysis.analyze(&expected_sys).unwrap();
             assert_eq!(outcome, &QueryOutcome::from_report(&report), "{query:?}");
         }
     }
@@ -1055,7 +1067,7 @@ mod tests {
         };
         let report = run_batch(&base, &batch, &XyRouting, 1);
         let oracle_sys = sys.with_router_buffer_depth(RouterId::new(5), 3);
-        let oracle = batch.analysis.as_analysis().analyze(&oracle_sys).unwrap();
+        let oracle = batch.analysis.analyze(&oracle_sys).unwrap();
         assert_eq!(report.outcomes[0], QueryOutcome::from_report(&oracle));
     }
 

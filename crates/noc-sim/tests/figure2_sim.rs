@@ -16,7 +16,7 @@ use noc_model::prelude::*;
 use noc_sim::prelude::*;
 use noc_workload::didactic::{self, Figure2Flows};
 
-fn bounds(analysis: &dyn Analysis, buffer: u32) -> [u64; 3] {
+fn bounds(analysis: AnalysisKind, buffer: u32) -> [u64; 3] {
     let f = Figure2Flows::ids();
     let report = analysis.analyze(&didactic::figure2_system(buffer)).unwrap();
     [f.tau_k, f.tau_j, f.tau_i].map(|id| report.response_time(id).expect("schedulable").as_u64())
@@ -42,13 +42,13 @@ fn sweep(buffer: u32) -> [u64; 3] {
 
 #[test]
 fn analytical_bounds_match_hand_computation() {
-    assert_eq!(bounds(&ShiBurns, 2), [10, 94, 107]);
-    assert_eq!(bounds(&Xlwx, 2), [10, 94, 137]);
-    assert_eq!(bounds(&BufferAware, 2), [10, 94, 125]);
+    assert_eq!(bounds(ShiBurns, 2), [10, 94, 107]);
+    assert_eq!(bounds(Xlwx, 2), [10, 94, 137]);
+    assert_eq!(bounds(BufferAware, 2), [10, 94, 125]);
     // IBN saturates to XLWX once bi(i,j) = 3·b ≥ C_k = 10, i.e. b ≥ 4.
-    assert_eq!(bounds(&BufferAware, 3), [10, 94, 134]);
-    assert_eq!(bounds(&BufferAware, 4), [10, 94, 137]);
-    assert_eq!(bounds(&BufferAware, 100), [10, 94, 137]);
+    assert_eq!(bounds(BufferAware, 3), [10, 94, 134]);
+    assert_eq!(bounds(BufferAware, 4), [10, 94, 137]);
+    assert_eq!(bounds(BufferAware, 100), [10, 94, 137]);
 }
 
 #[test]
@@ -57,7 +57,7 @@ fn simulation_exposes_sb_optimism_here_too() {
     // (observed exactly 107); with b ≥ 4 the observation (111) exceeds it.
     assert_eq!(sweep(2), [10, 80, 107]);
     assert_eq!(sweep(4), [10, 80, 111]);
-    let sb_tau_i = bounds(&ShiBurns, 4)[2];
+    let sb_tau_i = bounds(ShiBurns, 4)[2];
     assert!(
         sweep(4)[2] > sb_tau_i,
         "MPB breaks SB in the Figure 2 scenario"
@@ -68,8 +68,8 @@ fn simulation_exposes_sb_optimism_here_too() {
 fn safe_bounds_hold_in_figure2() {
     for buffer in [2u32, 4, 10] {
         let observed = sweep(buffer);
-        let ibn = bounds(&BufferAware, buffer);
-        let xlwx = bounds(&Xlwx, buffer);
+        let ibn = bounds(BufferAware, buffer);
+        let xlwx = bounds(Xlwx, buffer);
         for slot in 0..3 {
             assert!(observed[slot] <= ibn[slot], "b={buffer} slot {slot}");
             assert!(ibn[slot] <= xlwx[slot]);

@@ -44,12 +44,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for seed in 0..MAPPINGS {
             let mapped = random_mapping(&app, w, h, config, 0xA0 + seed)?;
             let system = mapped.system();
-            let verdict = |a: &dyn Analysis, sys: &System| {
+            let verdict = |a: AnalysisKind, sys: &System| {
                 a.analyze(sys).map(|r| r.is_schedulable()).unwrap_or(false)
             };
-            ok[0] += u32::from(verdict(&Xlwx, system));
-            ok[1] += u32::from(verdict(&BufferAware, system));
-            ok[2] += u32::from(verdict(&BufferAware, &system.with_buffer_depth(100)));
+            ok[0] += u32::from(verdict(Xlwx, system));
+            ok[1] += u32::from(verdict(BufferAware, system));
+            ok[2] += u32::from(verdict(BufferAware, &system.with_buffer_depth(100)));
         }
         let pct = |c: u32| 100.0 * f64::from(c) / MAPPINGS as f64;
         println!(

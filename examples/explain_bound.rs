@@ -17,7 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for buffer in [2u32, 10] {
         let system = didactic::system(buffer);
         println!("=== didactic system, buf(Ξ) = {buffer} ===\n");
-        for analysis in all_analyses() {
+        for analysis in AnalysisKind::ALL {
             let explanations = analysis.explain(&system)?;
             let ex = &explanations[flows.tau3.index()];
             println!("[{}] τ3 breakdown:", analysis.name());

@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for (id, flow) in system.flows().iter() {
         let c = system.zero_load_latency(id);
-        let bound = |a: &dyn Analysis| -> String {
+        let bound = |a: AnalysisKind| -> String {
             a.analyze(&system)
                 .ok()
                 .and_then(|r| r.response_time(id))
@@ -58,9 +58,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "{:<16} {:>8} {:>8} {:>8} {:>8}",
             flow.name().unwrap_or("flow"),
             c.as_u64(),
-            bound(&ShiBurns),
-            bound(&Xlwx),
-            bound(&BufferAware),
+            bound(ShiBurns),
+            bound(Xlwx),
+            bound(BufferAware),
         );
     }
 

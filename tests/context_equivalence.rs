@@ -2,7 +2,7 @@
 //! precomputed [`AnalysisContext`] — including contexts *rebased* onto
 //! buffer-depth and period-scale variants — must return bit-identical
 //! [`AnalysisReport`]s (and explanations) to the direct
-//! [`Analysis::analyze`] path that derives the interference structure from
+//! [`AnalysisKind::analyze`] path that derives the interference structure from
 //! scratch per call.
 //!
 //! It also pins the degenerate-equivalence guarantees of the generalised
@@ -51,7 +51,7 @@ fn synthetic_systems() -> Vec<(String, System)> {
 fn context_backed_reports_are_bit_identical_to_direct_path() {
     for (label, system) in synthetic_systems() {
         let ctx = AnalysisContext::new(&system).unwrap();
-        for analysis in all_analyses() {
+        for analysis in AnalysisKind::ALL {
             let direct = analysis.analyze(&system).unwrap();
             let shared = analysis.analyze_with(&ctx).unwrap();
             assert_eq!(direct, shared, "[{label}] {}", analysis.name());
@@ -83,7 +83,7 @@ fn rebased_period_scales_match_fresh_contexts() {
         for (num, den) in [(1u64, 2u64), (3, 4), (2, 1), (13, 7)] {
             let variant = system.with_scaled_periods(num, den).unwrap();
             let rebased = ctx.rebase(&variant).unwrap();
-            for analysis in all_analyses() {
+            for analysis in AnalysisKind::ALL {
                 let direct = analysis.analyze(&variant).unwrap();
                 let shared = analysis.analyze_with(&rebased).unwrap();
                 assert_eq!(
@@ -118,7 +118,7 @@ fn uniform_buffer_map_is_bit_identical_to_scalar_path() {
             let redundant = scalar.with_buffer_map(redundant_map);
             assert!(!uniform.has_heterogeneous_buffers());
             assert!(!redundant.has_heterogeneous_buffers());
-            for analysis in all_analyses() {
+            for analysis in AnalysisKind::ALL {
                 let base = analysis.analyze(&scalar).unwrap();
                 for (kind, variant) in [("uniform", &uniform), ("redundant", &redundant)] {
                     assert_eq!(
@@ -180,7 +180,7 @@ fn zero_burst_arrival_is_bit_identical_to_periodic() {
             continue; // hand-routed fixtures can't be rebuilt via XyRouting
         }
         let explicit = with_explicit_zero_burst(&system);
-        for analysis in all_analyses() {
+        for analysis in AnalysisKind::ALL {
             assert_eq!(
                 analysis.analyze(&system).unwrap(),
                 analysis.analyze(&explicit).unwrap(),

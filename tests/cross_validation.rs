@@ -62,7 +62,7 @@ fn offset_search_still_respects_bounds() {
 fn analysis_tightness_ordering_via_public_api() {
     for seed in 100..130 {
         let system = dense_workload(seed, 10);
-        let reports: Vec<AnalysisReport> = all_analyses()
+        let reports: Vec<AnalysisReport> = AnalysisKind::ALL
             .iter()
             .map(|a| a.analyze(&system).unwrap())
             .collect();

@@ -48,7 +48,6 @@ fn assert_matches_scratch(ctx: &mut IncrementalContext, label: &str, step: usize
     for kind in AnalysisKind::ALL {
         let incremental = ctx.analyze(kind).expect("incremental analysis succeeds");
         let full = kind
-            .as_analysis()
             .analyze_with(&scratch)
             .expect("from-scratch analysis succeeds");
         assert_eq!(

@@ -30,11 +30,7 @@ fn run_workload() -> (
     let ctx = AnalysisContext::new(&system).expect("didactic system is analysable");
     let full: Vec<AnalysisReport> = AnalysisKind::ALL
         .iter()
-        .map(|k| {
-            k.as_analysis()
-                .analyze_with(&ctx)
-                .expect("didactic system converges")
-        })
+        .map(|k| k.analyze_with(&ctx).expect("didactic system converges"))
         .collect();
 
     // Incremental solves through an admission round-trip.
