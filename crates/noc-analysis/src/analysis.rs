@@ -322,6 +322,47 @@ mod tests {
     }
 
     #[test]
+    fn budgeted_analysis_matches_unbudgeted_and_recovers() {
+        let sys = tiny_system();
+        let ctx = AnalysisContext::new(&sys).unwrap();
+        let degraded = crate::conservative::conservative_with(&ctx);
+        for kind in AnalysisKind::ALL {
+            let clean = kind.analyze_with(&ctx).unwrap();
+            // An unlimited budget is bit-identical to no budget.
+            assert_eq!(
+                kind.analyze_with_budget(&ctx, &Budget::unlimited())
+                    .unwrap(),
+                clean,
+                "{}",
+                kind.name()
+            );
+            // A pre-expired budget aborts with the structured deadline error …
+            let err = kind
+                .analyze_with_budget(&ctx, &Budget::with_deadline(std::time::Duration::ZERO))
+                .unwrap_err();
+            assert!(
+                matches!(err, AnalysisError::DeadlineExceeded { .. }),
+                "{}: {err:?}",
+                kind.name()
+            );
+            // … the conservative fallback still answers, bounding every
+            // clean R …
+            for (id, v) in clean.iter() {
+                if let Some(r) = v.response_time() {
+                    let b = match degraded.verdict(id) {
+                        crate::report::FlowVerdict::Schedulable { response_time } => response_time,
+                        crate::report::FlowVerdict::DeadlineMiss { exceeded_at } => exceeded_at,
+                        other => panic!("conservative produced {other:?}"),
+                    };
+                    assert!(b >= r, "degraded bound {b} below exact {r} for {id}");
+                }
+            }
+            // … and a later solve without a budget fully recovers.
+            assert_eq!(kind.analyze_with(&ctx).unwrap(), clean, "{}", kind.name());
+        }
+    }
+
+    #[test]
     fn pathological_recurrence_hits_iteration_cap() {
         // τ0 exactly saturates the shared link (charge == period), so τ1's
         // recurrence grows by a constant few dozen cycles per iteration;

@@ -17,6 +17,13 @@
 //! [`AnalysisContext::rebase`], which revalidates cheaply and clones only an
 //! [`Arc`] handle.
 //!
+//! Flow-set what-ifs derive a context of their own instead:
+//! [`AnalysisContext::with_added_flow`] and [`AnalysisContext::without_flow`]
+//! mirror the [`System`] methods of the same names, copy the graph once and
+//! re-derive only the touched interference neighbourhood, and leave the
+//! base read-only — so any number of threads can derive what-ifs from one
+//! shared base.
+//!
 //! The context borrows its system or owns it (a [`Cow`]). The owned form is
 //! the core of [`IncrementalContext`], which forks one off a borrowed base
 //! by cloning the system and *sharing* the graph: the graph is copied only
@@ -154,6 +161,52 @@ impl<'sys> AnalysisContext<'sys> {
         ))
     }
 
+    /// The context of [`System::with_added_flow`] over this context's
+    /// system: `flow`, routed by `routing`, admitted with the next dense id.
+    /// Only the interference neighbourhood the new route overlaps is
+    /// re-derived, on a copy of the graph; `self` is left untouched.
+    ///
+    /// # Errors
+    ///
+    /// Propagates routing and validation failures from
+    /// [`System::with_added_flow`] and contiguity violations from
+    /// [`InterferenceGraph::add_flow`].
+    pub fn with_added_flow(
+        &self,
+        flow: Flow,
+        routing: &dyn RoutingAlgorithm,
+    ) -> Result<(AnalysisContext<'_>, FlowId), AnalysisError> {
+        let mut derived = self.borrowed();
+        let (id, _) = derived.add_flow(flow, routing)?;
+        Ok((derived, id))
+    }
+
+    /// The context of [`System::without_flow`] over this context's system:
+    /// the flow `id` retired and every larger id renumbered one down. Only
+    /// the retired flow's interference neighbourhood is re-derived, on a
+    /// copy of the graph; `self` is left untouched.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AnalysisError::Model`] if `id` is out of bounds.
+    pub fn without_flow(&self, id: FlowId) -> Result<AnalysisContext<'_>, AnalysisError> {
+        let mut derived = self.borrowed();
+        derived.remove_flow(id)?;
+        Ok(derived)
+    }
+
+    /// A context borrowing this one's system and sharing its graph, for a
+    /// flow delta to derive from: the delta copies the system and the
+    /// graph once each.
+    fn borrowed(&self) -> AnalysisContext<'_> {
+        AnalysisContext {
+            system: Cow::Borrowed(self.system()),
+            graph: Arc::clone(&self.graph),
+            priority_order: self.priority_order.clone(),
+            zero_load: self.zero_load.clone(),
+        }
+    }
+
     /// This context with an owned system: clones a borrowed system, shares
     /// the graph.
     pub(crate) fn into_owned(self) -> AnalysisContext<'static> {
@@ -257,6 +310,8 @@ fn zero_load_of(system: &System, id: FlowId) -> u128 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::AnalysisKind;
+    use crate::report::AnalysisReport;
     use noc_model::prelude::*;
 
     fn system(buffer: u32) -> System {
@@ -331,5 +386,87 @@ mod tests {
         let err = ctx.rebase(&other).unwrap_err();
         assert!(matches!(err, AnalysisError::ContextMismatch { .. }));
         assert!(err.to_string().contains("flow count"));
+    }
+
+    fn mesh_flow(src: u32, dst: u32, p: u32, t: u64) -> Flow {
+        Flow::builder(NodeId::new(src), NodeId::new(dst))
+            .priority(Priority::new(p))
+            .period(Cycles::new(t))
+            .length_flits(8)
+            .build()
+    }
+
+    /// A 4x4 mesh with direct and indirect interference and gaps in the
+    /// priority levels, so candidates can land mid-order.
+    fn mesh_system() -> System {
+        let flows = FlowSet::new(vec![
+            mesh_flow(0, 15, 1, 1000),
+            mesh_flow(4, 7, 3, 1500),
+            mesh_flow(12, 3, 5, 2000),
+            mesh_flow(1, 13, 7, 2500),
+            mesh_flow(5, 6, 9, 3000),
+        ])
+        .unwrap();
+        System::new(
+            Topology::mesh(4, 4),
+            NocConfig::default(),
+            flows,
+            &XyRouting,
+        )
+        .unwrap()
+    }
+
+    fn reports(ctx: &AnalysisContext<'_>) -> Vec<AnalysisReport> {
+        AnalysisKind::ALL
+            .iter()
+            .map(|kind| kind.analyze_with(ctx).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn flow_derivations_match_system_derivations() {
+        let sys = mesh_system();
+        let base = AnalysisContext::new(&sys).unwrap();
+        let before = reports(&base);
+        let base_graph: *const InterferenceGraph = base.graph();
+        let candidates = [
+            mesh_flow(0, 10, 2, 3500),
+            mesh_flow(3, 12, 6, 4000),
+            mesh_flow(8, 11, 10, 900),
+        ];
+        for flow in candidates {
+            let (derived, id) = base.with_added_flow(flow.clone(), &XyRouting).unwrap();
+            let (expected, expected_id) = sys.with_added_flow(flow, &XyRouting).unwrap();
+            let scratch = AnalysisContext::new(&expected).unwrap();
+            assert_eq!(id, expected_id);
+            assert_eq!(derived.priority_order(), scratch.priority_order());
+            assert_eq!(reports(&derived), reports(&scratch), "admit {id}");
+            assert!(!std::ptr::eq(derived.graph(), base.graph()));
+        }
+        for id in sys.flows().ids() {
+            let derived = base.without_flow(id).unwrap();
+            let expected = sys.without_flow(id).unwrap();
+            let scratch = AnalysisContext::new(&expected).unwrap();
+            assert_eq!(derived.priority_order(), scratch.priority_order());
+            assert_eq!(reports(&derived), reports(&scratch), "retire {id}");
+            assert!(!std::ptr::eq(derived.graph(), base.graph()));
+        }
+        // The base is read-only throughout: same graph object, same answers.
+        assert!(std::ptr::eq(base.graph(), base_graph));
+        assert_eq!(base.len(), sys.flows().len());
+        assert_eq!(reports(&base), before);
+    }
+
+    #[test]
+    fn flow_derivations_reject_invalid_deltas() {
+        let sys = mesh_system();
+        let base = AnalysisContext::new(&sys).unwrap();
+        // Priority 3 is already taken by a base flow.
+        assert!(base
+            .with_added_flow(mesh_flow(0, 10, 3, 3500), &XyRouting)
+            .is_err());
+        let err = base.without_flow(FlowId::new(5)).unwrap_err();
+        assert!(matches!(err, AnalysisError::Model(_)));
+        assert_eq!(base.len(), 5);
     }
 }

@@ -206,21 +206,6 @@ impl<'a> Solver<'a> {
             self.order.len(),
             "solve cache does not match the flow set"
         );
-        // An exceeded budget must abort even when every flow is clean —
-        // otherwise a cancelled solve answers from the warm cache and the
-        // outcome depends on what happened to run on this context earlier.
-        // No work has been done yet, so the cache stays valid (no poison).
-        if let Some(budget) = self.budget {
-            if budget.is_exceeded() {
-                if let Some(&first) = self.order.first() {
-                    metrics::SOLVER_DEADLINE_HITS.incr();
-                    return Err(AnalysisError::DeadlineExceeded {
-                        flow: first,
-                        iterations: 0,
-                    });
-                }
-            }
-        }
         for &i in self.order {
             if !cache.dirty[i.index()] {
                 let deps_dirty = self

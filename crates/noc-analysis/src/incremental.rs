@@ -8,12 +8,18 @@
 //! flow per change wastes nearly all of that work: a single flow only
 //! touches the interference neighbourhood its route overlaps.
 //!
+//! This module is for *committed* changes, where the mutated flow set is
+//! the new state of the system. A one-off what-if against a fixed base is
+//! answered without mutating anything, by a context derived for it
+//! ([`AnalysisContext::with_added_flow`], [`AnalysisContext::without_flow`]
+//! or [`AnalysisContext::rebase`]).
+//!
 //! [`IncrementalContext`] keeps the derived structure **and** the last
 //! solve's results alive across mutations:
 //!
 //! * it is an owned [`AnalysisContext`] plus one solve cache per
-//!   [`AnalysisKind`], so every analysis entry point and the conservative
-//!   bound read the same structure a from-scratch context would hold;
+//!   [`AnalysisKind`], so every analysis reads the same structure a
+//!   from-scratch context would hold;
 //! * [`IncrementalContext::add_flow`] / [`IncrementalContext::remove_flow`]
 //!   update the context's [`InterferenceGraph`] through its delta methods
 //!   ([`InterferenceGraph::add_flow`] / [`InterferenceGraph::remove_flow`]),
@@ -43,7 +49,7 @@
 //! let mut ctx = IncrementalContext::new(system)?;
 //! let before = ctx.analyze(AnalysisKind::BufferAware)?;
 //!
-//! // Admission what-if: add the candidate, re-analyse, roll back.
+//! // A flow joins: only its interference neighbourhood is re-solved …
 //! let candidate = Flow::builder(NodeId::new(1), NodeId::new(2))
 //!     .priority(Priority::new(2))
 //!     .period(Cycles::new(2_000))
@@ -51,6 +57,7 @@
 //!     .build();
 //! let id = ctx.add_flow(candidate, &XyRouting)?;
 //! let admitted = ctx.analyze(AnalysisKind::BufferAware)?.is_schedulable();
+//! // … and when it retires, the system answers as before it joined.
 //! ctx.remove_flow(id)?;
 //! assert_eq!(ctx.analyze(AnalysisKind::BufferAware)?, before);
 //! # assert!(admitted);
@@ -67,34 +74,11 @@ use noc_model::system::System;
 use noc_model::topology::Endpoint;
 
 use crate::analysis::AnalysisKind;
-use crate::budget::Budget;
 use crate::context::AnalysisContext;
 use crate::engine::{SolveCache, Solver};
 use crate::error::AnalysisError;
 use crate::metrics;
 use crate::report::AnalysisReport;
-
-/// One mutation of the flow set, for batch application via
-/// [`IncrementalContext::apply`].
-#[derive(Debug, Clone)]
-pub enum Delta {
-    /// Admit a new flow; it is routed when the delta is applied and takes
-    /// the next dense [`FlowId`].
-    Add(Flow),
-    /// Retire the flow with this id. Every larger id shifts down by one
-    /// (flow ids are dense indices).
-    Remove(FlowId),
-    /// Resize the per-VC input buffers of one router — the heterogeneous
-    /// buffer what-if. Only the buffer-aware analysis reads buffer depths,
-    /// so only its cache is invalidated, and only for the flows whose
-    /// contention domains cross the resized router.
-    ResizeBuffer {
-        /// The router whose input-VC depth changes.
-        router: RouterId,
-        /// The new per-VC depth in flits (≥ 1).
-        depth: u32,
-    },
-}
 
 /// A [`System`] plus its derived analysis structure, maintained
 /// incrementally under flow additions and removals.
@@ -239,32 +223,6 @@ impl IncrementalContext {
         out
     }
 
-    /// Applies one [`Delta`], returning the assigned id for an addition.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`IncrementalContext::add_flow`] and
-    /// [`IncrementalContext::remove_flow`].
-    ///
-    /// # Panics
-    ///
-    /// [`Delta::ResizeBuffer`] panics on an unknown router or a zero depth
-    /// — see [`IncrementalContext::resize_buffer`].
-    pub fn apply(
-        &mut self,
-        delta: Delta,
-        routing: &dyn RoutingAlgorithm,
-    ) -> Result<Option<FlowId>, AnalysisError> {
-        match delta {
-            Delta::Add(flow) => self.add_flow(flow, routing).map(Some),
-            Delta::Remove(id) => self.remove_flow(id).map(|()| None),
-            Delta::ResizeBuffer { router, depth } => {
-                self.resize_buffer(router, depth);
-                Ok(None)
-            }
-        }
-    }
-
     /// Runs `kind` over the current flow set, re-solving only the flows
     /// whose interference inputs changed since this kind last ran.
     ///
@@ -279,41 +237,6 @@ impl IncrementalContext {
     /// flow is removed) recovers with a full solve.
     pub fn analyze(&mut self, kind: AnalysisKind) -> Result<AnalysisReport, AnalysisError> {
         Solver::new(&self.ctx, kind).solve_cached(&mut self.caches[kind.index()])
-    }
-
-    /// [`IncrementalContext::analyze`] under a cooperative [`Budget`]: the
-    /// solver polls the budget and aborts once it is exceeded, so serving
-    /// layers can bound the wall-clock cost of a single query.
-    ///
-    /// With an [`unlimited`](Budget::unlimited) budget this is bit-identical
-    /// to [`IncrementalContext::analyze`].
-    ///
-    /// # Errors
-    ///
-    /// [`AnalysisError::DeadlineExceeded`] when the budget expires
-    /// mid-solve, plus the conditions of [`IncrementalContext::analyze`].
-    /// On any error this kind's cache is marked all-dirty, so a later call
-    /// (with a fresh budget) recovers with a full solve — pinned by the
-    /// `incremental_equivalence` integration test.
-    pub fn analyze_with_budget(
-        &mut self,
-        kind: AnalysisKind,
-        budget: &Budget,
-    ) -> Result<AnalysisReport, AnalysisError> {
-        Solver::new(&self.ctx, kind)
-            .with_budget(budget)
-            .solve_cached(&mut self.caches[kind.index()])
-    }
-
-    /// The cheap, non-iterative conservative bound over the current flow
-    /// set — the degraded-mode answer when
-    /// [`IncrementalContext::analyze_with_budget`] runs out of budget (see
-    /// [`crate::conservative`] for the bound and its soundness argument).
-    ///
-    /// Total (never fails), does not touch the solve caches, and does not
-    /// depend on them: it reads only the incrementally maintained structure.
-    pub fn conservative_report(&self) -> AnalysisReport {
-        crate::conservative::conservative_with(&self.ctx)
     }
 
     /// The current system.
@@ -416,22 +339,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_routes_additions_and_removals() {
-        let mut ctx = IncrementalContext::new(mesh_system(&SPECS[..2])).unwrap();
-        let id = ctx
-            .apply(Delta::Add(mesh_flow(SPECS[2])), &XyRouting)
-            .unwrap();
-        assert_eq!(id, Some(FlowId::new(2)));
-        assert_eq!(
-            ctx.apply(Delta::Remove(FlowId::new(1)), &XyRouting)
-                .unwrap(),
-            None
-        );
-        assert_eq!(ctx.len(), 2);
-        assert_matches_scratch(&mut ctx);
-    }
-
-    #[test]
     fn from_context_matches_new() {
         let sys = mesh_system(&SPECS);
         let base = AnalysisContext::new(&sys).unwrap();
@@ -475,47 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_analysis_matches_unbudgeted_and_recovers() {
-        let mut ctx = IncrementalContext::new(mesh_system(&SPECS)).unwrap();
-        let clean = ctx.analyze(AnalysisKind::BufferAware).unwrap();
-
-        // An unlimited budget is bit-identical to no budget.
-        let mut unbudgeted = IncrementalContext::new(mesh_system(&SPECS)).unwrap();
-        assert_eq!(
-            unbudgeted
-                .analyze_with_budget(AnalysisKind::BufferAware, &Budget::unlimited())
-                .unwrap(),
-            clean
-        );
-
-        // A pre-expired budget aborts with the structured deadline error …
-        let mut starved = IncrementalContext::new(mesh_system(&SPECS)).unwrap();
-        let err = starved
-            .analyze_with_budget(
-                AnalysisKind::BufferAware,
-                &Budget::with_deadline(std::time::Duration::ZERO),
-            )
-            .unwrap_err();
-        assert!(matches!(err, AnalysisError::DeadlineExceeded { .. }));
-
-        // … the conservative fallback still answers, bounding every clean R …
-        let degraded = starved.conservative_report();
-        for (id, v) in clean.iter() {
-            if let Some(r) = v.response_time() {
-                let b = match degraded.verdict(id) {
-                    crate::report::FlowVerdict::Schedulable { response_time } => response_time,
-                    crate::report::FlowVerdict::DeadlineMiss { exceeded_at } => exceeded_at,
-                    other => panic!("conservative produced {other:?}"),
-                };
-                assert!(b >= r, "degraded bound {b} below exact {r} for {id}");
-            }
-        }
-
-        // … and a later solve with a fresh (absent) budget fully recovers.
-        assert_eq!(starved.analyze(AnalysisKind::BufferAware).unwrap(), clean);
-    }
-
-    #[test]
     fn buffer_resizes_match_from_scratch_solves() {
         let mut ctx = IncrementalContext::new(mesh_system(&SPECS)).unwrap();
         // Warm every cache first so a lazy dirty rule would be caught.
@@ -542,23 +408,6 @@ mod tests {
         for (&kind, report) in AnalysisKind::ALL.iter().zip(&before) {
             assert_eq!(&ctx.analyze(kind).unwrap(), report, "{}", kind.name());
         }
-    }
-
-    #[test]
-    fn resize_delta_applies_through_apply() {
-        let mut ctx = IncrementalContext::new(mesh_system(&SPECS[..3])).unwrap();
-        let out = ctx
-            .apply(
-                Delta::ResizeBuffer {
-                    router: RouterId::new(4),
-                    depth: 16,
-                },
-                &XyRouting,
-            )
-            .unwrap();
-        assert_eq!(out, None);
-        assert_eq!(ctx.system().buffer_depth_at(RouterId::new(4)), 16);
-        assert_matches_scratch(&mut ctx);
     }
 
     #[test]

@@ -56,6 +56,8 @@
 //! [`AnalysisContext::rebase`]. The experiment harnesses in
 //! `noc-experiments` rely on this throughout.
 //!
+//! A flow-set what-if derives its own context from a read-only base with
+//! [`AnalysisContext::with_added_flow`] or [`AnalysisContext::without_flow`].
 //! An [`IncrementalContext`] is the same context owned, plus per-analysis
 //! solve caches, for flow sets that change between solves. Forked from a
 //! shared base with [`IncrementalContext::from_context`], it shares the
@@ -99,7 +101,7 @@ pub use budget::Budget;
 pub use conservative::conservative_with;
 pub use context::AnalysisContext;
 pub use error::AnalysisError;
-pub use incremental::{Delta, IncrementalContext};
+pub use incremental::IncrementalContext;
 pub use report::{AnalysisReport, FlowExplanation, FlowVerdict, InterferenceTerm};
 
 /// Convenient re-exports of the crate's public surface.
@@ -111,6 +113,6 @@ pub mod prelude {
     pub use crate::conservative::conservative_with;
     pub use crate::context::AnalysisContext;
     pub use crate::error::AnalysisError;
-    pub use crate::incremental::{Delta, IncrementalContext};
+    pub use crate::incremental::IncrementalContext;
     pub use crate::report::{AnalysisReport, FlowExplanation, FlowVerdict, InterferenceTerm};
 }

@@ -220,8 +220,8 @@ pub fn hetero_fixture(production: bool) -> (&'static str, System) {
 
 /// Bench group `hetero_analysis`: the buffer-aware analysis over a
 /// heterogeneous-depth bursty workload — the slow (per-router) path of
-/// Equation 6 — plus a batch of per-router buffer what-if queries served
-/// through the incremental resize path.
+/// Equation 6 — plus a batch of per-router buffer what-if queries, each
+/// served from a rebase of the shared base context.
 pub fn bench_hetero_analysis(c: &mut Criterion, label: &str, system: &System) {
     let mut group = c.benchmark_group("hetero_analysis");
     group.bench_with_input(BenchmarkId::new("buffer-aware", label), system, |b, sys| {

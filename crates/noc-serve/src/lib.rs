@@ -14,35 +14,35 @@
 //! A [`QueryBatch`] pairs one [`AnalysisKind`] with a list of [`Query`]
 //! values, evaluated independently against the same *base* system:
 //!
-//! * [`Query::Admission`] — add a candidate flow, re-certify, roll back;
-//! * [`Query::Removal`] — retire an existing flow, re-certify, restore;
-//! * [`Query::BufferWhatIf`] — re-certify at a different buffer depth;
-//! * [`Query::RouterBufferWhatIf`] — re-certify with **one** router's
-//!   buffers resized (heterogeneous depths), served through the shard's
-//!   [`IncrementalContext::resize_buffer`] with a restore afterwards.
+//! * [`Query::Admission`] — certify the system with a candidate flow added;
+//! * [`Query::Removal`] — certify the system with an existing flow retired;
+//! * [`Query::BufferWhatIf`] — certify at a different buffer depth;
+//! * [`Query::RouterBufferWhatIf`] — certify with **one** router's buffers
+//!   resized (heterogeneous depths).
 //!
 //! Every query answers with a [`QueryOutcome`]; the batch reports wall
 //! time and queries/second in its [`BatchReport`].
 //!
-//! # Deduplication via rebase, sharding via worker threads
+//! # One read-only base, one throwaway context per query
 //!
 //! The expensive derived structure — the interference graph — is built
-//! **once** for the base system, inside the shared
-//! [`AnalysisContext`]. From there two cheap forks serve all queries:
+//! **once** for the base system, inside the shared [`AnalysisContext`],
+//! which serving only ever reads. Each query derives its own what-if
+//! context from it, solves that, and drops it:
 //!
-//! * buffer what-ifs share the graph itself through
-//!   [`AnalysisContext::rebase`] (an `Arc` clone: zero copying), because a
-//!   buffer depth change preserves the interference structure;
-//! * flow mutations need a *mutable* graph, so each worker thread forks one
-//!   [`IncrementalContext`] from the base and then serves all its queries
-//!   through add → dirty-bit re-solve → remove undo cycles, touching only
-//!   the interference neighbourhood each candidate overlaps. The fork
-//!   clones the system but shares the base graph; the graph is copied only
-//!   by the shard's first flow delta, so shards that serve only router
-//!   buffer what-ifs never copy it.
+//! * buffer what-ifs, homogeneous and per-router alike, share the graph
+//!   itself through [`AnalysisContext::rebase`] (an `Arc` clone: zero
+//!   copying), because a buffer depth change preserves the interference
+//!   structure;
+//! * admissions and removals go through
+//!   [`AnalysisContext::with_added_flow`] and
+//!   [`AnalysisContext::without_flow`], which copy the graph once and
+//!   re-derive only the interference neighbourhood the flow touches.
 //!
-//! Queries are sharded in contiguous chunks, one scoped thread per shard;
-//! outcomes come back in submission order regardless of scheduling.
+//! With no per-thread state there is nothing to undo after a query and
+//! nothing a failed query can leave half-mutated. Queries are sharded in
+//! contiguous chunks, one scoped thread per shard; outcomes come back in
+//! submission order regardless of scheduling.
 //!
 //! # Fault tolerance
 //!
@@ -61,9 +61,9 @@
 //!   bound of [`noc_analysis::conservative`] — never optimistic, pinned by
 //!   the `chaos_serving` integration test.
 //! * **Isolation and retry** — each serve attempt runs inside
-//!   `catch_unwind`; a panicking worker poisons only its own shard, which
-//!   is re-forked from the shared base, and the query is retried with
-//!   bounded backoff ([`ServeOptions::max_retries`]) before surfacing as
+//!   `catch_unwind`; a panic unwinds only the attempt's own derived
+//!   context, and the query is retried with bounded backoff
+//!   ([`ServeOptions::max_retries`]) before surfacing as
 //!   [`ServeError::Panicked`].
 //! * **Load shedding** — with [`ServeOptions::max_pending`] set, queries
 //!   beyond the bound answer [`QueryOutcome::Shed`] without being served
@@ -90,7 +90,6 @@ use noc_analysis::analysis::AnalysisKind;
 use noc_analysis::budget::Budget;
 use noc_analysis::context::AnalysisContext;
 use noc_analysis::error::AnalysisError;
-use noc_analysis::incremental::IncrementalContext;
 use noc_analysis::report::AnalysisReport;
 use noc_model::flow::Flow;
 use noc_model::ids::FlowId;
@@ -102,15 +101,15 @@ use crate::fault::{Fault, FaultPlan};
 #[derive(Debug, Clone)]
 pub enum Query {
     /// Can `flow` be admitted — is the system still schedulable with it?
-    /// The flow is routed by the batch's routing algorithm and removed
-    /// again after the verdict, so queries stay independent.
+    /// The flow is routed by the batch's routing algorithm into a what-if
+    /// context of its own; the base system is never changed.
     Admission {
         /// The candidate flow (its priority must be unused in the base
         /// system).
         flow: Flow,
     },
     /// Is the system still schedulable when the flow `id` (a base-system
-    /// id) retires? The flow is restored after the verdict.
+    /// id) retires?
     Removal {
         /// Base-system id of the flow to retire hypothetically.
         id: FlowId,
@@ -125,10 +124,9 @@ pub enum Query {
     /// Is the system schedulable when **one** router's buffers are resized
     /// to `depth` flits, all other routers keeping their base depth? The
     /// heterogeneous counterpart of [`Query::BufferWhatIf`] — e.g. scoring
-    /// a cheaper switch at a single mesh position. Served through the
-    /// shard's [`IncrementalContext::resize_buffer`], which re-solves only
-    /// the flows whose buffered-interference terms read that router; the
-    /// depth is restored afterwards, so queries stay independent.
+    /// a cheaper switch at a single mesh position. Served, like
+    /// [`Query::BufferWhatIf`], from a rebase of the base context that
+    /// shares its graph.
     RouterBufferWhatIf {
         /// The router whose buffers are hypothetically resized.
         router: noc_model::ids::RouterId,
@@ -176,8 +174,7 @@ pub enum ServeError {
         /// What is malformed about the query.
         reason: String,
     },
-    /// Every serve attempt (including retries against a re-forked shard)
-    /// panicked.
+    /// Every serve attempt (the first and each retry) panicked.
     Panicked {
         /// The panic message of the last attempt.
         detail: String,
@@ -343,8 +340,9 @@ pub struct ServeOptions {
     /// are shed as [`QueryOutcome::Shed`] without being served. `None`
     /// (default) serves everything.
     pub max_pending: Option<usize>,
-    /// Retries after a caught worker panic (the shard is re-forked before
-    /// each retry, with bounded doubling backoff). Default 2.
+    /// Retries after a caught worker panic, with bounded doubling backoff;
+    /// each retry derives a fresh what-if context from the base. Default
+    /// 2.
     pub max_retries: u32,
     /// Deterministic fault injection plan; `None` (default) injects
     /// nothing.
@@ -368,27 +366,10 @@ impl ServeOptions {
     /// * `NOC_SERVE_DEADLINE_MS` — per-query solve budget in milliseconds;
     /// * `NOC_SERVE_MAX_PENDING` — pending-queue bound (shed beyond it);
     /// * `NOC_FAULT_SEED` / `NOC_FAULT_RATE` — fault injection (see
-    ///   [`FaultPlan::from_env`]).
+    ///   [`FaultPlan::try_from_env`]).
     ///
-    /// Unset or unparsable variables leave the corresponding default
-    /// (lenient); front-ends that should fail loudly on misconfiguration
-    /// use [`ServeOptions::try_from_env`].
-    pub fn from_env() -> ServeOptions {
-        let parse_u64 = |name: &str| {
-            env::var(name)
-                .ok()
-                .and_then(|s| s.trim().parse::<u64>().ok())
-        };
-        ServeOptions {
-            deadline: parse_u64("NOC_SERVE_DEADLINE_MS").map(Duration::from_millis),
-            max_pending: parse_u64("NOC_SERVE_MAX_PENDING").map(|n| n as usize),
-            faults: FaultPlan::from_env(),
-            ..ServeOptions::default()
-        }
-    }
-
-    /// Strict variant of [`ServeOptions::from_env`]: a variable that is
-    /// set but unparsable is an `Err` naming it, not a silently-applied
+    /// An unset variable leaves the corresponding default; a variable that
+    /// is set but unparsable is an `Err` naming it, not a silently-applied
     /// default.
     pub fn try_from_env() -> Result<ServeOptions, String> {
         let parse_u64 = |name: &str| -> Result<Option<u64>, String> {
@@ -487,128 +468,54 @@ fn outcome_of(
     }
 }
 
-/// Mutable per-shard serving state: an incremental context plus the
-/// base-id → current-id permutation that removal/restore cycles induce.
-struct Shard<'a> {
-    ctx: IncrementalContext,
-    /// `map[base.index()]` = the flow's id in `ctx` right now. Removing a
-    /// flow shifts every larger id down; restoring it appends at the end.
-    map: Vec<FlowId>,
-    routing: &'a (dyn RoutingAlgorithm + Sync),
+/// Serves one query: derives the query's own what-if context from the
+/// read-only `base`, solves it under `budget` if one is installed, and
+/// drops it. Nothing outlives the call, so a query can never observe (or
+/// leak into) another one.
+fn serve(
+    base: &AnalysisContext<'_>,
     kind: AnalysisKind,
-}
-
-impl<'a> Shard<'a> {
-    fn new(
-        base: &AnalysisContext<'_>,
-        routing: &'a (dyn RoutingAlgorithm + Sync),
-        kind: AnalysisKind,
-    ) -> Shard<'a> {
-        let n = base.len();
-        metrics::CONTEXT_FORKS.incr();
-        Shard {
-            ctx: IncrementalContext::from_context(base),
-            map: (0..n as u32).map(FlowId::new).collect(),
-            routing,
-            kind,
+    routing: &dyn RoutingAlgorithm,
+    query: &Query,
+    budget: Option<&Budget>,
+) -> QueryOutcome {
+    let _span = metrics::QUERY_LATENCY_NS.span();
+    metrics::QUERIES_SERVED.incr();
+    // A buffer what-if keeps every route and priority, so it shares the
+    // base graph through `rebase`; a flow delta copies it once.
+    let resized;
+    let derived = match *query {
+        Query::Admission { ref flow } => {
+            metrics::CONTEXT_FORKS.incr();
+            base.with_added_flow(flow.clone(), routing)
+                .map(|(ctx, _)| ctx)
         }
-    }
-
-    /// Runs the batch's analysis over the shard's current flow set, under
-    /// `budget` if one is installed.
-    fn analyze(&mut self, budget: Option<&Budget>) -> Result<AnalysisReport, AnalysisError> {
-        match budget {
-            Some(budget) => self.ctx.analyze_with_budget(self.kind, budget),
-            None => self.ctx.analyze(self.kind),
+        Query::Removal { id } => {
+            metrics::CONTEXT_FORKS.incr();
+            base.without_flow(id)
         }
-    }
-
-    fn serve(
-        &mut self,
-        base: &AnalysisContext<'_>,
-        query: &Query,
-        budget: Option<&Budget>,
-    ) -> QueryOutcome {
-        let _span = metrics::QUERY_LATENCY_NS.span();
-        metrics::QUERIES_SERVED.incr();
-        match query {
-            Query::Admission { flow } => match self.ctx.add_flow(flow.clone(), self.routing) {
-                Ok(id) => {
-                    let result = self.analyze(budget);
-                    // Interpret before rolling back: the degraded path reads
-                    // the conservative bound of the system *with* the
-                    // candidate admitted.
-                    let outcome = outcome_of(result, || self.ctx.conservative_report());
-                    self.ctx
-                        .remove_flow(id)
-                        .expect("the just-admitted flow exists");
-                    outcome
-                }
-                Err(e) => QueryOutcome::Infeasible {
-                    reason: e.to_string(),
-                },
-            },
-            Query::Removal { id } => {
-                let Some(&current) = self.map.get(id.index()) else {
-                    return QueryOutcome::Infeasible {
-                        reason: format!("no flow {id} in the base system"),
-                    };
-                };
-                let flow = self.ctx.system().flows().flow(current).clone();
-                self.ctx
-                    .remove_flow(current)
-                    .expect("mapped ids stay in bounds");
-                let result = self.analyze(budget);
-                // Interpret before restoring (the degraded bound describes
-                // the retired-flow system); restore before returning (even
-                // a failed solve must not leak a mutated shard).
-                let outcome = outcome_of(result, || self.ctx.conservative_report());
-                // Deterministic routing reproduces the original route, so
-                // only the id changes — track it in the map.
-                let restored = self
-                    .ctx
-                    .add_flow(flow, self.routing)
-                    .expect("restoring a previously admitted flow cannot fail");
-                for m in self.map.iter_mut() {
-                    if *m > current {
-                        *m = FlowId::new(m.raw() - 1);
-                    }
-                }
-                self.map[id.index()] = restored;
-                outcome
-            }
-            Query::BufferWhatIf { depth } => {
-                let what_if = base.system().with_buffer_depth(*depth);
-                match base.rebase(&what_if) {
-                    Ok(ctx) => {
-                        metrics::CONTEXT_REBASES.incr();
-                        let result = match budget {
-                            Some(budget) => self.kind.analyze_with_budget(&ctx, budget),
-                            None => self.kind.analyze_with(&ctx),
-                        };
-                        outcome_of(result, || noc_analysis::conservative_with(&ctx))
-                    }
-                    Err(e) => QueryOutcome::Infeasible {
-                        reason: e.to_string(),
-                    },
-                }
-            }
-            Query::RouterBufferWhatIf { router, depth } => {
-                let original = self.ctx.system().buffer_depth_at(*router);
-                self.ctx.resize_buffer(*router, *depth);
-                let result = self.analyze(budget);
-                // Interpret before restoring: the degraded bound describes
-                // the resized system. (The conservative bound ignores
-                // buffer depths, but the report must still be taken from
-                // the what-if state for consistency.)
-                let outcome = outcome_of(result, || self.ctx.conservative_report());
-                // Restoring sets an override equal to the original depth,
-                // which is numerically identical to the base system on
-                // every analysis path.
-                self.ctx.resize_buffer(*router, original);
-                outcome
-            }
+        Query::BufferWhatIf { depth } => {
+            metrics::CONTEXT_REBASES.incr();
+            resized = base.system().with_buffer_depth(depth);
+            base.rebase(&resized)
         }
+        Query::RouterBufferWhatIf { router, depth } => {
+            metrics::CONTEXT_REBASES.incr();
+            resized = base.system().with_router_buffer_depth(router, depth);
+            base.rebase(&resized)
+        }
+    };
+    match derived {
+        Ok(ctx) => {
+            let result = match budget {
+                Some(budget) => kind.analyze_with_budget(&ctx, budget),
+                None => kind.analyze_with(&ctx),
+            };
+            outcome_of(result, || noc_analysis::conservative_with(&ctx))
+        }
+        Err(e) => QueryOutcome::Infeasible {
+            reason: e.to_string(),
+        },
     }
 }
 
@@ -629,11 +536,11 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Serves one query inside the isolation boundary: fault injection, panic
-/// capture, shard re-fork and bounded retry. Always returns a terminal
-/// outcome.
+/// capture and bounded retry. Always returns a terminal outcome.
 fn serve_isolated(
-    shard: &mut Shard<'_>,
     base: &AnalysisContext<'_>,
+    kind: AnalysisKind,
+    routing: &dyn RoutingAlgorithm,
     query: &Query,
     index: usize,
     options: &ServeOptions,
@@ -675,17 +582,14 @@ fn serve_isolated(
             if inject_panic {
                 panic!("injected fault: panic serving query {index} (attempt {attempt})");
             }
-            shard.serve(base, query, budget.as_ref())
+            serve(base, kind, routing, query, budget.as_ref())
         }));
         match result {
             Ok(outcome) => return outcome,
             Err(payload) => {
+                // The unwound attempt dropped its own derived context; the
+                // base was only ever read, so a retry starts clean.
                 metrics::PANICS_CAUGHT.incr();
-                // The unwound serve may have left the shard mid-mutation
-                // (flow admitted but not rolled back): re-fork from the
-                // shared base rather than trusting poisoned state.
-                metrics::SHARD_REBUILDS.incr();
-                *shard = Shard::new(base, shard.routing, shard.kind);
                 if attempt < options.max_retries {
                     metrics::RETRIES.incr();
                     std::thread::sleep(backoff(attempt));
@@ -744,13 +648,9 @@ pub fn sample_queries(system: &noc_model::system::System, n: usize) -> Vec<Query
 /// deadlines, no shedding, no fault injection.
 ///
 /// Each shard serves a contiguous chunk of the batch so outcomes return in
-/// submission order. Worker state is forked from `base` (see the
-/// [module docs](self) for the dedup structure); the base context itself is
-/// only read.
-///
-/// `routing` must be deterministic (the same `(source, dest)` always yields
-/// the same route) — true of every algorithm in `noc-model` — so that
-/// removal queries can restore the flow they retired.
+/// submission order. Each query derives its own what-if context from
+/// `base` (see the [module docs](self)); the base context itself is only
+/// read.
 ///
 /// # Panics
 ///
@@ -765,8 +665,7 @@ pub fn run_batch(
 }
 
 /// [`run_batch`] under an explicit serving policy: per-query deadlines
-/// with conservative degradation, panic isolation with shard re-forking
-/// and bounded retry, load shedding, and deterministic fault injection.
+/// with conservative degradation, panic isolation with bounded retry, load shedding, and deterministic fault injection.
 /// See the *Fault tolerance* section of the [module docs](self).
 ///
 /// Every query maps to exactly one terminal [`QueryOutcome`]; the call
@@ -824,7 +723,6 @@ pub fn run_batch_with(
             .map(|&(lo, hi)| {
                 scope.spawn(move || {
                     let busy = Instant::now();
-                    let mut shard = Shard::new(base, routing, batch.analysis);
                     let outcomes: Vec<QueryOutcome> = (lo..hi)
                         .map(|i| match &dispositions[i] {
                             Disposition::Invalid(reason) => QueryOutcome::Failed {
@@ -833,9 +731,14 @@ pub fn run_batch_with(
                                 },
                             },
                             Disposition::Shed => QueryOutcome::Shed,
-                            Disposition::Serve => {
-                                serve_isolated(&mut shard, base, &batch.queries[i], i, options)
-                            }
+                            Disposition::Serve => serve_isolated(
+                                base,
+                                batch.analysis,
+                                routing,
+                                &batch.queries[i],
+                                i,
+                                options,
+                            ),
                         })
                         .collect();
                     (outcomes, busy.elapsed().as_nanos())
@@ -1032,8 +935,8 @@ mod tests {
     #[test]
     fn router_what_if_restores_the_shard_for_later_queries() {
         // A heterogeneous what-if must not leak its override into the
-        // queries served after it on the same shard: single-threaded so
-        // every query shares one shard, with the what-if first.
+        // queries served after it on the same thread: single-threaded so
+        // every query runs on one worker, with the what-if first.
         let sys = base_system();
         let base = AnalysisContext::new(&sys).unwrap();
         let mut queries = vec![Query::RouterBufferWhatIf {
@@ -1249,8 +1152,8 @@ mod tests {
                 }
                 _ => {
                     // Transient faults resolve to the exact answer; later
-                    // queries on a shard that failed earlier still serve
-                    // correctly off the re-forked context.
+                    // queries on a worker that failed earlier still serve
+                    // correctly off the untouched base.
                     assert_eq!(outcome, &clean.outcomes[i], "query {i}");
                 }
             }
@@ -1260,13 +1163,13 @@ mod tests {
 
     #[test]
     fn serve_options_from_env_defaults_are_inert() {
-        // The test environment does not set the serve variables; from_env
-        // must then equal the default policy.
+        // The test environment does not set the serve variables;
+        // try_from_env must then equal the default policy.
         if env::var("NOC_SERVE_DEADLINE_MS").is_err()
             && env::var("NOC_SERVE_MAX_PENDING").is_err()
             && env::var("NOC_FAULT_SEED").is_err()
         {
-            let options = ServeOptions::from_env();
+            let options = ServeOptions::try_from_env().unwrap();
             assert_eq!(options.deadline, None);
             assert_eq!(options.max_pending, None);
             assert_eq!(options.faults, None);

@@ -17,21 +17,19 @@ pub static QUERIES_SERVED: Counter = Counter::new("serve.queries");
 /// Batches evaluated via [`run_batch`](crate::run_batch).
 pub static BATCHES: Counter = Counter::new("serve.batches");
 
-/// Per-thread [`IncrementalContext`](noc_analysis::incremental::IncrementalContext)
-/// forks off the shared base context (one per shard per batch).
+/// What-if contexts derived from the base by a flow delta, one per
+/// admission or removal query
+/// ([`AnalysisContext::with_added_flow`](noc_analysis::context::AnalysisContext::with_added_flow),
+/// [`AnalysisContext::without_flow`](noc_analysis::context::AnalysisContext::without_flow)).
 pub static CONTEXT_FORKS: Counter = Counter::new("serve.context_forks");
 
-/// Graph-sharing rebases served for buffer what-ifs
-/// ([`AnalysisContext::rebase`](noc_analysis::context::AnalysisContext::rebase)).
+/// Graph-sharing rebases, one per homogeneous or per-router buffer what-if
+/// query ([`AnalysisContext::rebase`](noc_analysis::context::AnalysisContext::rebase)).
 pub static CONTEXT_REBASES: Counter = Counter::new("serve.context_rebases");
 
 /// Worker panics caught by the per-query isolation boundary (injected or
-/// real). Each one also triggers a shard rebuild.
+/// real).
 pub static PANICS_CAUGHT: Counter = Counter::new("serve.panics_caught");
-
-/// Shards re-forked from the base context after a caught panic poisoned
-/// their mutable state.
-pub static SHARD_REBUILDS: Counter = Counter::new("serve.shard_rebuilds");
 
 /// Serve attempts retried after a transient failure (bounded backoff).
 pub static RETRIES: Counter = Counter::new("serve.retries");

@@ -152,7 +152,7 @@ fn chaos_batches_are_terminal_explainable_and_hermetic() {
 
     // Hermeticity: after all that chaos, a clean run over the same base
     // is bit-identical to the never-faulted one — caught panics and
-    // re-forked shards leaked nothing into the shared context.
+    // cancelled solves left nothing behind in the shared base context.
     let after = run_batch(&base, &batch, &table, 4).outcomes;
     assert_eq!(
         clean, after,
@@ -163,9 +163,9 @@ fn chaos_batches_are_terminal_explainable_and_hermetic() {
 /// Heterogeneous what-ifs under chaos: the base system already carries
 /// per-router overrides and bursty sources, and the batch piles explicit
 /// [`Query::RouterBufferWhatIf`]s (deepening *and* shrinking overridden
-/// routers) on top of the samples. Faulted shards must restore the
-/// resized base exactly — the hermeticity check at the end would catch a
-/// shard that leaked a what-if depth into later answers.
+/// routers) on top of the samples. A faulted what-if must leave the base
+/// untouched — the hermeticity check at the end would catch a what-if
+/// depth leaking into later answers.
 #[test]
 fn heterogeneous_what_ifs_survive_chaos() {
     quiet_injected_panics();
