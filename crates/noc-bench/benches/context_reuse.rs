@@ -7,17 +7,49 @@
 //! since the context refactor); `context-build` isolates the derivation
 //! cost being amortised. Fixtures go up to the north-star scale: a 16×16
 //! mesh with thousands of flows.
-//!
-//! The group bodies live in [`noc_bench::suites`] so the `bench_json`
-//! binary measures exactly what `cargo bench` runs.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use noc_analysis::prelude::*;
-use noc_bench::{production_system, suites};
+use noc_bench::{bench_system, production_system};
 use std::hint::black_box;
 
+/// Per-call derivation vs one shared [`AnalysisContext`] vs the isolated
+/// context build.
 fn context_reuse(c: &mut Criterion) {
-    suites::bench_context_reuse(c, &suites::context_fixtures(true));
+    let fixtures = [
+        ("4x4_160", bench_system(4, 160, 2, 0xC0DE)),
+        ("8x8_520", bench_system(8, 520, 2, 0xC0DE)),
+        ("16x16_1000", production_system(1_000, 2, 0xC0DE)),
+        ("16x16_2000", production_system(2_000, 2, 0xC0DE)),
+    ];
+    let mut group = c.benchmark_group("context_reuse");
+    for (label, system) in &fixtures {
+        group.bench_with_input(BenchmarkId::new("direct", label), system, |b, sys| {
+            b.iter(|| {
+                for analysis in AnalysisKind::ALL {
+                    black_box(analysis.analyze(black_box(sys)).unwrap());
+                }
+            })
+        });
+        group.bench_with_input(
+            BenchmarkId::new("shared-context", label),
+            system,
+            |b, sys| {
+                b.iter(|| {
+                    let ctx = AnalysisContext::new(black_box(sys)).unwrap();
+                    for analysis in AnalysisKind::ALL {
+                        black_box(analysis.analyze_with(&ctx).unwrap());
+                    }
+                })
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new("context-build", label),
+            system,
+            |b, sys| b.iter(|| black_box(AnalysisContext::new(black_box(sys)).unwrap())),
+        );
+    }
+    group.finish();
 }
 
 fn buffer_depth_rebase(c: &mut Criterion) {

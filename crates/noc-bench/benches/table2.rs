@@ -1,14 +1,10 @@
 //! Bench T1/T2: regenerates Tables I and II (reduced offset sweep), measures
 //! the cost of each analysis, and times the full critical-instant simulation
 //! sweep behind the table's `R^sim` columns.
-//!
-//! The sweep body lives in [`noc_bench::suites`] so the `bench_json` binary
-//! measures exactly what `cargo bench` runs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use noc_analysis::prelude::*;
-use noc_bench::suites;
-use noc_experiments::table2;
+use noc_experiments::table2::{self, SweepMode};
 use noc_workload::didactic;
 use std::hint::black_box;
 
@@ -37,7 +33,18 @@ fn regenerate_and_bench(c: &mut Criterion) {
     });
     group.finish();
 
-    suites::bench_table2_sweep(c);
+    // The didactic experiment's simulation columns: the pruned
+    // critical-instant offset sweep at both buffer depths (the kernel behind
+    // `R^sim(b=10)` / `R^sim(b=2)` of Table II).
+    let mut group = c.benchmark_group("table2");
+    group.bench_function("critical-sweep-b2b10", |b| {
+        b.iter(|| {
+            let b10 = table2::simulate_worst(10, SweepMode::Critical);
+            let b2 = table2::simulate_worst(2, SweepMode::Critical);
+            black_box((b10.worst, b2.worst))
+        })
+    });
+    group.finish();
 }
 
 criterion_group! {

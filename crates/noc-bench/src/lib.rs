@@ -22,8 +22,6 @@
 use noc_model::prelude::*;
 use noc_workload::synthetic::SyntheticSpec;
 
-pub mod suites;
-
 /// A deterministic synthetic system for performance measurements.
 pub fn bench_system(mesh: u16, n_flows: usize, buffer: u32, seed: u64) -> System {
     SyntheticSpec::paper(mesh, mesh, n_flows, buffer)
@@ -54,8 +52,8 @@ pub fn production_system(n_flows: usize, buffer: u32, seed: u64) -> System {
 /// Heterogeneous fixture: the §VI workload with per-router buffer depths
 /// drawn from `2..=8` flits and bursty sources (σ ≤ 2) — the generalised
 /// release/buffer axes the buffer-aware analysis is sensitive to. At
-/// `mesh = 16` this is the north-star heterogeneous scenario recorded in
-/// `BENCH_history.jsonl` by `bench_json`.
+/// `mesh = 16` this is the north-star heterogeneous scenario the
+/// `hetero_analysis` bench target measures.
 pub fn heterogeneous_system(mesh: u16, n_flows: usize, seed: u64) -> System {
     SyntheticSpec::paper(mesh, mesh, n_flows, 2)
         .with_buffer_depth_range(2, 8)

@@ -9,9 +9,9 @@
 //! exits nonzero — the process never dies on an unwrap.
 //!
 //! With `NOC_TELEMETRY=1` the record additionally carries a `metrics`
-//! block (solver iterations, dirty-bit hit rates, per-query latency
-//! percentiles), and a full dump — including histogram buckets, per-shard
-//! utilization and the structured event log — is written to
+//! block (solver iterations, retries, degraded and shed answers, per-query
+//! latency percentiles), and a full dump — including histogram buckets,
+//! per-shard utilization and the structured event log — is written to
 //! `SERVE_metrics.json` (path override: `NOC_SERVE_METRICS`).
 //!
 //! The serving policy comes from the environment (see

@@ -62,9 +62,8 @@
 //!   the `chaos_serving` integration test.
 //! * **Isolation and retry** — each serve attempt runs inside
 //!   `catch_unwind`; a panic unwinds only the attempt's own derived
-//!   context, and the query is retried with bounded backoff
-//!   ([`ServeOptions::max_retries`]) before surfacing as
-//!   [`ServeError::Panicked`].
+//!   context, and the query is retried with bounded backoff (at most
+//!   twice) before surfacing as [`ServeError::Panicked`].
 //! * **Load shedding** — with [`ServeOptions::max_pending`] set, queries
 //!   beyond the bound answer [`QueryOutcome::Shed`] without being served
 //!   (deterministic in the batch index, so thread-count invariant).
@@ -174,7 +173,7 @@ pub enum ServeError {
         /// What is malformed about the query.
         reason: String,
     },
-    /// Every serve attempt (the first and each retry) panicked.
+    /// Every serve attempt (the first and both retries) panicked.
     Panicked {
         /// The panic message of the last attempt.
         detail: String,
@@ -327,10 +326,10 @@ impl BatchReport {
     }
 }
 
-/// Serving policy for [`run_batch_with`]: deadlines, shedding, retries and
-/// fault injection. [`ServeOptions::default`] disables all four, making
+/// Serving policy for [`run_batch_with`]: deadlines, shedding and fault
+/// injection. [`ServeOptions::default`] disables all three, making
 /// [`run_batch_with`] bit-identical to [`run_batch`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ServeOptions {
     /// Per-query wall-clock solve budget. `None` (default) solves without
     /// any budget — the solver's fast path, one cached branch per
@@ -340,24 +339,9 @@ pub struct ServeOptions {
     /// are shed as [`QueryOutcome::Shed`] without being served. `None`
     /// (default) serves everything.
     pub max_pending: Option<usize>,
-    /// Retries after a caught worker panic, with bounded doubling backoff;
-    /// each retry derives a fresh what-if context from the base. Default
-    /// 2.
-    pub max_retries: u32,
     /// Deterministic fault injection plan; `None` (default) injects
     /// nothing.
     pub faults: Option<FaultPlan>,
-}
-
-impl Default for ServeOptions {
-    fn default() -> ServeOptions {
-        ServeOptions {
-            deadline: None,
-            max_pending: None,
-            max_retries: 2,
-            faults: None,
-        }
-    }
 }
 
 impl ServeOptions {
@@ -386,7 +370,6 @@ impl ServeOptions {
             deadline: parse_u64("NOC_SERVE_DEADLINE_MS")?.map(Duration::from_millis),
             max_pending: parse_u64("NOC_SERVE_MAX_PENDING")?.map(|n| n as usize),
             faults: FaultPlan::try_from_env()?,
-            ..ServeOptions::default()
         })
     }
 }
@@ -519,6 +502,10 @@ fn serve(
     }
 }
 
+/// Retries after a caught worker panic, with bounded doubling backoff;
+/// each retry derives a fresh what-if context from the base.
+const MAX_RETRIES: u32 = 2;
+
 /// Bounded doubling backoff between retries: 1, 2, 4, then 8 ms flat.
 fn backoff(attempt: u32) -> Duration {
     Duration::from_millis(1u64 << attempt.min(3))
@@ -590,7 +577,7 @@ fn serve_isolated(
                 // The unwound attempt dropped its own derived context; the
                 // base was only ever read, so a retry starts clean.
                 metrics::PANICS_CAUGHT.incr();
-                if attempt < options.max_retries {
+                if attempt < MAX_RETRIES {
                     metrics::RETRIES.incr();
                     std::thread::sleep(backoff(attempt));
                     attempt += 1;
@@ -611,30 +598,39 @@ fn serve_isolated(
 /// (templated on existing source/dest pairs with a fresh priority),
 /// removals, homogeneous buffer what-ifs, and single-router buffer
 /// what-ifs, in a 2:1:1:1 ratio.
+///
+/// A system with no flows has nothing to template an admission on or to
+/// retire, so there every query is a buffer what-if, alternating
+/// homogeneous and single-router.
 pub fn sample_queries(system: &noc_model::system::System, n: usize) -> Vec<Query> {
     let ids: Vec<FlowId> = system.flows().ids().collect();
     let routers = system.topology().router_count();
     let fresh_priority = noc_model::ids::Priority::new(ids.len() as u32 + 1);
     (0..n)
-        .map(|i| match i % 5 {
-            2 => Query::Removal {
-                id: ids[i % ids.len()],
-            },
-            3 => Query::BufferWhatIf {
-                depth: 1 + (i % 8) as u32,
-            },
-            4 => Query::RouterBufferWhatIf {
-                router: noc_model::ids::RouterId::new((i % routers) as u32),
-                depth: 2 + (i % 7) as u32,
-            },
-            _ => {
-                let template = system.flows().flow(ids[i % ids.len()]);
-                Query::Admission {
-                    flow: Flow::builder(template.source(), template.dest())
-                        .priority(fresh_priority)
-                        .period(template.period())
-                        .length_flits(4 + (i as u32 % 61))
-                        .build(),
+        .map(|i| {
+            // Slots 3 and 4 are the buffer what-ifs, the only ones that
+            // need no flow.
+            let slot = if ids.is_empty() { 3 + i % 2 } else { i % 5 };
+            match slot {
+                2 => Query::Removal {
+                    id: ids[i % ids.len()],
+                },
+                3 => Query::BufferWhatIf {
+                    depth: 1 + (i % 8) as u32,
+                },
+                4 => Query::RouterBufferWhatIf {
+                    router: noc_model::ids::RouterId::new((i % routers) as u32),
+                    depth: 2 + (i % 7) as u32,
+                },
+                _ => {
+                    let template = system.flows().flow(ids[i % ids.len()]);
+                    Query::Admission {
+                        flow: Flow::builder(template.source(), template.dest())
+                            .priority(fresh_priority)
+                            .period(template.period())
+                            .length_flits(4 + (i as u32 % 61))
+                            .build(),
+                    }
                 }
             }
         })
@@ -933,7 +929,32 @@ mod tests {
     }
 
     #[test]
-    fn router_what_if_restores_the_shard_for_later_queries() {
+    fn sample_queries_on_a_flowless_system_are_buffer_what_ifs() {
+        let empty = System::new(
+            Topology::mesh(4, 4),
+            NocConfig::default(),
+            FlowSet::new(Vec::new()).unwrap(),
+            &XyRouting,
+        )
+        .unwrap();
+        let queries = sample_queries(&empty, 10);
+        assert_eq!(queries.len(), 10);
+        assert!(queries.iter().all(|q| matches!(
+            q,
+            Query::BufferWhatIf { .. } | Query::RouterBufferWhatIf { .. }
+        )));
+        let base = AnalysisContext::new(&empty).unwrap();
+        let batch = QueryBatch {
+            analysis: AnalysisKind::BufferAware,
+            queries,
+        };
+        // With no flows every what-if is trivially schedulable.
+        let report = run_batch(&base, &batch, &XyRouting, 2);
+        assert_eq!(report.outcomes, vec![QueryOutcome::Accepted; 10]);
+    }
+
+    #[test]
+    fn router_what_if_does_not_leak_into_later_queries() {
         // A heterogeneous what-if must not leak its override into the
         // queries served after it on the same thread: single-threaded so
         // every query runs on one worker, with the what-if first.
@@ -1125,7 +1146,6 @@ mod tests {
             .expect("some seed injects a persistent panic");
         let options = ServeOptions {
             faults: Some(plan),
-            max_retries: 1,
             ..ServeOptions::default()
         };
         let report = run_batch_with(&base, &batch, &XyRouting, 2, &options);

@@ -74,8 +74,8 @@
 //!
 //! For sweeps, [`BatchSimulator`] reuses one layout *and* one state
 //! allocation across plans ([`search::critical_offset_sweep`] and the
-//! Table II experiment drive it); `BENCH_sim.json` records the resulting
-//! speedups over the per-run-allocation baseline.
+//! Table II experiment drive it); the `batch_sweep` bench target compares
+//! it against one `Simulator` per plan.
 //!
 //! # Fidelity preconditions
 //!

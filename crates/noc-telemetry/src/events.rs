@@ -153,7 +153,7 @@ pub(crate) fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

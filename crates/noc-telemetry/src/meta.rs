@@ -1,11 +1,10 @@
-//! Run metadata shared by every JSON-emitting binary in the workspace.
+//! Run metadata for the JSON records the workspace's binaries emit.
 
 /// The commit a measurement run describes: `GITHUB_SHA` in CI, `git
 /// rev-parse HEAD` in a local checkout, `"unknown"` elsewhere.
 ///
-/// Shared by `bench_json` (for `BENCH_history.jsonl`) and `query_server`
-/// (for the throughput record and `SERVE_metrics.json`) so their records
-/// join on the same key.
+/// `query_server` stamps it on the throughput record and on
+/// `SERVE_metrics.json`, so the two join on the same key.
 pub fn git_commit() -> String {
     if let Ok(sha) = std::env::var("GITHUB_SHA") {
         if !sha.is_empty() {

@@ -233,7 +233,7 @@ pub fn reset_all() {
     let _ = crate::events::drain();
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
