@@ -23,6 +23,9 @@
 //! hit count plus the burst allowance, matching the solver's), and
 //! `Idown*`/`Iup*` are the XLWX downstream charge (Eq. 3) and the
 //! upstream term (Eq. 2) evaluated over windows of length Dⱼ instead of Rⱼ.
+//! Both read the partition of `S^I_i ∩ S^D_j`, which is computed once per
+//! (i, j) pair; the recursion through downstream interferers computes and
+//! memoises one per (j, k) pair it reaches.
 //! The window jitter `(Dⱼ − Cⱼ) + Iup*` dominates both the interference
 //! jitter `J^I_j = Rⱼ − Cⱼ` (for schedulable τⱼ, Rⱼ ≤ Dⱼ) and the original
 //! Xiong `Iup` jitter; the XLWX charge dominates both the ignore-downstream
@@ -90,13 +93,15 @@ pub fn conservative_with(ctx: &AnalysisContext<'_>) -> AnalysisReport {
             let f_j = system.flow(j);
             let d_j = u128::from(f_j.deadline().as_u64());
             let c_j = bounder.c[j.index()];
+            // One partition of S^I_i ∩ S^D_j per pair, for both terms.
+            let part = graph.partition_indirect(i, j);
             let jitter = d_j
                 .saturating_sub(c_j)
-                .saturating_add(bounder.iup_bound(i, j));
+                .saturating_add(bounder.iup_bound(j, &part.upstream));
             // ηⱼ adds Jⱼ and σⱼ itself, mirroring the solver's hit count.
             let window = d_i.saturating_add(jitter);
             let hits = f_j.arrival_curve().max_arrivals_raw(window);
-            let charge = c_j.saturating_add(bounder.idown_bound(j, i));
+            let charge = c_j.saturating_add(bounder.idown_over(j, i, &part.downstream));
             bound = bound.saturating_add(hits.saturating_mul(charge));
         }
         verdicts[i.index()] = if bound <= d_i {
@@ -129,11 +134,11 @@ impl Bounder<'_> {
         self.system.flow(k).arrival_curve().max_arrivals_raw(d_j)
     }
 
-    /// `Iup*(j,i)` — Equation 2 over a Dⱼ-length window.
-    fn iup_bound(&mut self, i: FlowId, j: FlowId) -> u128 {
-        let part = self.graph.partition_indirect(i, j);
+    /// `Iup*(j,i)` — Equation 2 over a Dⱼ-length window, from the
+    /// upstream half of the pair's partition.
+    fn iup_bound(&self, j: FlowId, upstream: &[FlowId]) -> u128 {
         let mut total: u128 = 0;
-        for &k in &part.upstream {
+        for &k in upstream {
             total = total.saturating_add(
                 self.hits_in_deadline(j, k)
                     .saturating_mul(self.c[k.index()]),
@@ -143,14 +148,21 @@ impl Bounder<'_> {
     }
 
     /// `Idown*(j,i)` — the XLWX downstream charge (Eq. 3) over Dⱼ-length
-    /// windows, memoised per (j, i) pair exactly like the solver's.
+    /// windows, memoised per (j, i) pair exactly like the solver's: the
+    /// entry point of the recursion through downstream interferers.
     fn idown_bound(&mut self, j: FlowId, i: FlowId) -> u128 {
         if let Some(&v) = self.idown_memo.get(&(j, i)) {
             return v;
         }
         let part = self.graph.partition_indirect(i, j);
+        self.idown_over(j, i, &part.downstream)
+    }
+
+    /// `Idown*(j,i)` from the downstream half of the pair's partition,
+    /// memoised for the recursion.
+    fn idown_over(&mut self, j: FlowId, i: FlowId, downstream: &[FlowId]) -> u128 {
         let mut total: u128 = 0;
-        for &k in &part.downstream {
+        for &k in downstream {
             let inner = self.c[k.index()].saturating_add(self.idown_bound(k, j));
             total = total.saturating_add(self.hits_in_deadline(j, k).saturating_mul(inner));
         }

@@ -1,10 +1,12 @@
 //! The shared, precomputed analysis context.
 //!
 //! Every analysis of this crate consumes the same derived structure of a
-//! [`System`]: the [`InterferenceGraph`] (direct/indirect interference sets,
-//! contention domains and up/down partitions — §III of the paper), the
-//! priority-ordered flow indices the fixed-point engine solves in, and the
-//! zero-load latencies Cᵢ of Equation 1. Building that structure is
+//! [`System`]: the [`InterferenceGraph`] (direct/indirect interference sets
+//! and contention domains — §III of the paper), the priority-ordered flow
+//! indices the fixed-point engine solves in, and the zero-load latencies Cᵢ
+//! of Equation 1. The up/down partitions are not part of it: each solve
+//! computes a pair's partition when it needs it, in O(|S^D_j|·|S^D_i|)
+//! ([`InterferenceGraph::partition_indirect`]). Building that structure is
 //! O(candidate pairs × route length) — far more expensive than any single
 //! fixed-point solve — yet experiment harnesses routinely run 4–5 analyses
 //! (and several buffer depths) over the *same* flow set.
@@ -265,8 +267,9 @@ impl<'sys> AnalysisContext<'sys> {
         &self.system
     }
 
-    /// The precomputed interference graph (§III): direct/indirect sets,
-    /// contention domains, up/down partitions.
+    /// The precomputed interference graph (§III): direct/indirect sets and
+    /// contention domains. Up/down partitions are computed from it per
+    /// query, in O(|S^D_j|·|S^D_i|) per pair.
     pub fn graph(&self) -> &InterferenceGraph {
         &self.graph
     }

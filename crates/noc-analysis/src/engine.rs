@@ -29,7 +29,7 @@
 use std::collections::HashMap;
 
 use noc_model::arrival::{ArrivalCurve, LeakyBucket};
-use noc_model::contention::InterferenceGraph;
+use noc_model::contention::{InterferenceGraph, UpDownPartition};
 use noc_model::ids::FlowId;
 use noc_model::system::System;
 use noc_model::time::Cycles;
@@ -289,7 +289,7 @@ impl<'a> Solver<'a> {
         metrics::SOLVER_FLOWS_SOLVED.incr();
         let flow = self.system.flow(i);
         let deadline = u128::from(flow.deadline().as_u64());
-        let direct: Vec<FlowId> = self.graph.direct_set(i).to_vec();
+        let direct = self.graph.direct_set(i);
         // Taint: a failed direct interferer leaves τᵢ without a valid bound.
         if direct.iter().any(|&j| self.r[j.index()].is_none()) {
             return Ok((FlowVerdict::Tainted, Vec::new()));
@@ -298,10 +298,15 @@ impl<'a> Solver<'a> {
         // each interferer contributes hits from its own arrival curve,
         // evaluated on the window inflated by the model-specific jitter.
         let mut terms = Vec::with_capacity(direct.len());
-        for &j in &direct {
+        for &j in direct {
             let curve = self.system.flow(j).arrival_curve();
-            let extra_jitter = self.window_jitter(i, j);
-            let downstream = self.downstream_term(j, i);
+            // The partition of S^I_i ∩ S^D_j, computed once per pair for
+            // both terms, and only by the models that read it.
+            let part = (self.downstream != DownstreamModel::Ignore
+                || self.jitter == JitterModel::UpstreamInterference)
+                .then(|| self.graph.partition_indirect(i, j));
+            let extra_jitter = self.window_jitter(i, j, part.as_ref());
+            let downstream = part.as_ref().map_or(0, |p| self.downstream_over(j, i, p));
             let charge = self.c[j.index()].saturating_add(downstream);
             terms.push(Term {
                 interferer: j,
@@ -382,8 +387,9 @@ impl<'a> Solver<'a> {
         })
     }
 
-    /// The jitter added to τⱼ's interference window when bounding τᵢ.
-    fn window_jitter(&mut self, i: FlowId, j: FlowId) -> u128 {
+    /// The jitter added to τⱼ's interference window when bounding τᵢ;
+    /// `part` is the pair's partition, present whenever the model reads it.
+    fn window_jitter(&self, i: FlowId, j: FlowId, part: Option<&UpDownPartition>) -> u128 {
         match self.jitter {
             JitterModel::None => 0,
             JitterModel::InterferenceJitter => {
@@ -395,32 +401,42 @@ impl<'a> Solver<'a> {
                     0
                 }
             }
-            JitterModel::UpstreamInterference => self.upstream_term(j, i),
+            JitterModel::UpstreamInterference => {
+                let part = part.expect("the upstream model reads the partition");
+                self.upstream_term(j, &part.upstream)
+            }
         }
     }
 
-    /// `Iup(j,i)` — Equation 2: the interference τⱼ suffers from upstream
-    /// indirect interferers of τᵢ, charged as hit-count × Cₖ.
-    fn upstream_term(&mut self, j: FlowId, i: FlowId) -> u128 {
-        let part = self.graph.partition_indirect(i, j);
+    /// `Iup(j,i)` — Equation 2: the interference τⱼ suffers from the
+    /// upstream indirect interferers `upstream` of τᵢ, charged as
+    /// hit-count × Cₖ.
+    fn upstream_term(&self, j: FlowId, upstream: &[FlowId]) -> u128 {
         let r_j = self.r[j.index()].expect("solved before use");
         let mut total: u128 = 0;
-        for &k in &part.upstream {
+        for &k in upstream {
             let hits = self.hits_on(r_j, k);
             total = total.saturating_add(hits.saturating_mul(self.c[k.index()]));
         }
         total
     }
 
-    /// `Idown(j,i)` for the configured downstream model, memoised per pair.
+    /// `Idown(j,i)` for the configured downstream model, memoised per pair:
+    /// the entry point of the recursion through downstream interferers.
     fn downstream_term(&mut self, j: FlowId, i: FlowId) -> u128 {
-        if matches!(self.downstream, DownstreamModel::Ignore) {
-            return 0;
-        }
         if let Some(&v) = self.idown_memo.get(&(j, i)) {
             return v;
         }
         let part = self.graph.partition_indirect(i, j);
+        self.downstream_over(j, i, &part)
+    }
+
+    /// `Idown(j,i)` from the pair's partition `part`, memoised for the
+    /// recursion.
+    fn downstream_over(&mut self, j: FlowId, i: FlowId, part: &UpDownPartition) -> u128 {
+        if self.downstream == DownstreamModel::Ignore {
+            return 0;
+        }
         // Eq. 8 applies when τⱼ does not suffer *both* upstream and
         // downstream indirect interference; with no downstream interferers
         // the sum is zero either way, so testing the upstream set suffices.
@@ -469,12 +485,10 @@ impl<'a> Solver<'a> {
             let cd_len = self.graph.contention_len(i, j) as u128;
             return buf * linkl * cd_len;
         }
-        let cd = self
+        let total_buf: u128 = self
             .graph
-            .contention_domain(i, j)
-            .expect("buffered_interference requires a contention domain");
-        let total_buf: u128 = cd
-            .links()
+            .contention_links(i, j)
+            .expect("buffered_interference requires a contention domain")
             .iter()
             .map(|&l| u128::from(self.system.buffer_depth_of_link(l).unwrap_or(0)))
             .sum();

@@ -210,8 +210,8 @@ impl IncrementalContext {
         let mut out = Vec::new();
         for i in system.flows().ids() {
             let touches = graph.direct_set(i).iter().any(|&j| {
-                graph.contention_domain(i, j).is_some_and(|cd| {
-                    cd.links()
+                graph.contention_links(i, j).is_some_and(|links| {
+                    links
                         .iter()
                         .any(|&l| topology.link(l).target() == Endpoint::Router(router))
                 })

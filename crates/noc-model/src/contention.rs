@@ -12,13 +12,15 @@
 //!   and the **downstream** set `S^downj_Ii` (τₖ hits τⱼ after it), by
 //!   comparing link order along `routeⱼ`.
 //!
-//! [`InterferenceGraph`] precomputes all of this for a
-//! [`System`] and is the single entry point used by
-//! every analysis in `noc-analysis`. Construction only examines flow pairs
-//! that actually share a link (via a link-overlap table), so it scales with
-//! real contention rather than with n²; `noc-analysis` wraps the graph in
-//! its shared `AnalysisContext` so one construction serves every analysis
-//! and every compatible system variant.
+//! [`InterferenceGraph`] stores the domains and both sets for a
+//! [`System`] and is the single entry point used by every analysis in
+//! `noc-analysis`. The up/down partitions are not stored: each one is
+//! computed per query from `S^D_j` and `S^D_i` in O(|S^D_j|·|S^D_i|) (see
+//! [`InterferenceGraph::partition_indirect`]). Construction only examines
+//! flow pairs that actually share a link (via a link-overlap table), so it
+//! scales with real contention rather than with n²; `noc-analysis` wraps
+//! the graph in its shared `AnalysisContext` so one construction serves
+//! every analysis and every compatible system variant.
 //!
 //! [`System`]: crate::system::System
 
@@ -472,10 +474,32 @@ impl InterferenceGraph {
         }
     }
 
+    /// The first and last positions of `cd(a,b)` on flow `a`'s route, read
+    /// in place.
+    fn span_on(&self, a: FlowId, b: FlowId) -> Option<(usize, usize)> {
+        Self::lookup(&self.domains, a, b)
+            .map(|(cd, swapped)| if swapped { cd.span_j } else { cd.span_i })
+    }
+
+    /// `S^D_i`, after checking the precondition `j ∈ S^D_i` shared by
+    /// [`InterferenceGraph::partition_indirect`] and
+    /// [`InterferenceGraph::has_indirect_via`].
+    fn direct_set_containing(&self, i: FlowId, j: FlowId, caller: &str) -> &[FlowId] {
+        let direct_i = &self.direct[i.index()];
+        assert!(
+            direct_i.contains(&j),
+            "{caller}({i}, {j}) requires j ∈ S^D_i, but {j} is not a \
+             higher-priority contender of {i}"
+        );
+        direct_i
+    }
+
     /// The contention domain `cd(i,j)`, oriented so that
     /// [`ContentionDomain::first_in_i`] refers to flow `i`'s route.
     ///
-    /// Returns `None` for link-disjoint pairs (and for `i == j`).
+    /// Returns `None` for link-disjoint pairs (and for `i == j`). This
+    /// clones the link list; [`InterferenceGraph::contention_links`] borrows
+    /// it instead.
     pub fn contention_domain(&self, i: FlowId, j: FlowId) -> Option<ContentionDomain> {
         Self::lookup(&self.domains, i, j).map(
             |(cd, swapped)| {
@@ -486,6 +510,13 @@ impl InterferenceGraph {
                 }
             },
         )
+    }
+
+    /// The links of `cd(i,j)` in traversal order, borrowed from the graph,
+    /// or `None` for link-disjoint pairs. The list does not depend on the
+    /// orientation of the pair.
+    pub fn contention_links(&self, i: FlowId, j: FlowId) -> Option<&[LinkId]> {
+        Self::lookup(&self.domains, i, j).map(|(cd, _)| cd.links())
     }
 
     /// `|cd(i,j)|`, or 0 for disjoint pairs.
@@ -521,41 +552,51 @@ impl InterferenceGraph {
     /// `true` if τⱼ suffers interference from a member of `S^I_i` — the
     /// condition under which the analyses charge τⱼ's interference jitter
     /// `J^I_j = R_j − C_j` when bounding τᵢ.
+    ///
+    /// Decided as `∃ k ∈ S^D_j \ S^D_i`, which equals `S^I_i ∩ S^D_j` (see
+    /// [`InterferenceGraph::partition_indirect`]), in O(|S^D_j|·|S^D_i|)
+    /// without reading `S^I_i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `j ∈ S^D_i`, the precondition of that identity.
     pub fn has_indirect_via(&self, i: FlowId, j: FlowId) -> bool {
-        self.indirect[i.index()]
-            .iter()
-            .any(|&k| self.direct[j.index()].contains(&k))
+        let direct_i = self.direct_set_containing(i, j, "has_indirect_via");
+        self.direct[j.index()].iter().any(|k| !direct_i.contains(k))
     }
 
     /// Partitions `S^I_i ∩ S^D_j` into the upstream set `S^upj_Ii` and the
     /// downstream set `S^downj_Ii` by comparing link positions on `routeⱼ`
     /// (the paper's §III definitions).
     ///
+    /// The partition is computed per call, not stored, by filtering `S^D_j`
+    /// instead of scanning `S^I_i`, in O(|S^D_j|·|S^D_i|). This rests on
+    /// the identity `S^I_i ∩ S^D_j = S^D_j \ S^D_i` for `j ∈ S^D_i`.
+    /// Proof: `S^I_i` is `(⋃_{j'∈S^D_i} S^D_{j'}) \ S^D_i \ {i}`, and the
+    /// union includes `S^D_j`, so `S^I_i` holds every member of `S^D_j`
+    /// outside `S^D_i` except τᵢ itself; and every `k ∈ S^D_j` outranks τⱼ,
+    /// which outranks τᵢ, so `k ≠ i`.
+    /// Both sets are sorted by priority, so the members come out in the
+    /// same order as a walk of `S^I_i` would yield them.
+    ///
     /// # Panics
     ///
-    /// Panics if `j` does not contend with `i` (callers must only pass
-    /// `j ∈ S^D_i`), or in debug builds if a member cannot be classified —
-    /// impossible while the contiguity invariant holds.
+    /// Panics unless `j ∈ S^D_i`, the precondition of the identity: a
+    /// lower-priority contender `j` would otherwise yield τᵢ itself as a
+    /// member. In debug builds it also panics if a member cannot be
+    /// classified, which is impossible while the contiguity invariant
+    /// holds.
     pub fn partition_indirect(&self, i: FlowId, j: FlowId) -> UpDownPartition {
-        let cd_ij = self
-            .contention_domain(i, j)
-            .expect("partition_indirect requires j ∈ S^D_i");
+        let direct_i = self.direct_set_containing(i, j, "partition_indirect");
         // positions of cd(i,j) on route_j:
-        let ij_first = cd_ij.first_in_j();
-        let ij_last = cd_ij.last_in_j();
+        let (ij_first, ij_last) = self.span_on(j, i).expect("j ∈ S^D_i contends with i");
         let mut partition = UpDownPartition::default();
-        for &k in &self.indirect[i.index()] {
-            // Only members of S^D_j (higher priority than τj *and* sharing
-            // links with it) can interfere with τj.
-            if !self.direct[j.index()].contains(&k) {
+        for &k in &self.direct[j.index()] {
+            if direct_i.contains(&k) {
                 continue;
             }
-            let Some(cd_jk) = self.contention_domain(j, k) else {
-                continue; // unreachable given the membership check above
-            };
             // positions of cd(j,k) on route_j:
-            let jk_first = cd_jk.first_in_i();
-            let jk_last = cd_jk.last_in_i();
+            let (jk_first, jk_last) = self.span_on(j, k).expect("k ∈ S^D_j contends with j");
             if jk_last < ij_first {
                 partition.upstream.push(k);
             } else if jk_first > ij_last {
@@ -833,6 +874,24 @@ mod tests {
         let part = g.partition_indirect(low, mid);
         assert_eq!(part.upstream, vec![hi]);
         assert!(part.downstream.is_empty());
+    }
+
+    /// τ0 contends with τ1 but has lower priority, so τ0 ∉ S^D_1. Without
+    /// the check, `S^D_0 \ S^D_1` would hand back τ1 itself as a member.
+    #[test]
+    #[should_panic(expected = "partition_indirect(f1, f0) requires j ∈ S^D_i")]
+    fn partition_rejects_lower_priority_contender() {
+        let g = InterferenceGraph::new(&chain_system()).unwrap();
+        assert!(g.contend(FlowId::new(1), FlowId::new(0)));
+        g.partition_indirect(FlowId::new(1), FlowId::new(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "has_indirect_via(f1, f0) requires j ∈ S^D_i")]
+    fn has_indirect_via_rejects_lower_priority_contender() {
+        let g = InterferenceGraph::new(&chain_system()).unwrap();
+        assert!(g.contend(FlowId::new(1), FlowId::new(0)));
+        g.has_indirect_via(FlowId::new(1), FlowId::new(0));
     }
 
     #[test]

@@ -48,7 +48,7 @@
 //! | [`flow`] | §II traffic-flow model τᵢ = (Pᵢ, Cᵢ, Tᵢ, Dᵢ, Jᵢ, πˢᵢ, πᵈᵢ), plus the burst allowance σᵢ |
 //! | [`arrival`] | release models as arrival curves η(w): periodic-with-jitter (the paper) and the bursty leaky bucket |
 //! | [`config`], [`system`] | `buf(Ξ)`, `vc(Ξ)`, `linkl(Ξ)`, `routl(Ξ)`; per-router [`BufferMap`](config::BufferMap); the routed [`System`] and Equation 1 ([`System::zero_load_latency`]) |
-//! | [`contention`] | §III: contention domains `cd(i,j)`, interference sets `S^D_i`/`S^I_i`, up/down partitions |
+//! | [`contention`] | §III: contention domains `cd(i,j)`, interference sets `S^D_i`/`S^I_i`, and up/down partitions computed per query in O(\|S^D_j\|·\|S^D_i\|) |
 //!
 //! Downstream crates build on this model: `noc-analysis` implements the
 //! response-time bounds (Equations 2–8), `noc-sim` the cycle-accurate
